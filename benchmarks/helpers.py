@@ -10,8 +10,7 @@ the timing.
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Optional
+from typing import Callable
 
 
 def run_once(benchmark, fn: Callable, **kwargs):
@@ -24,41 +23,6 @@ def run_once(benchmark, fn: Callable, **kwargs):
     return benchmark.pedantic(
         fn, kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
     )
-
-
-def run_experiment(
-    benchmark,
-    name: str,
-    *,
-    jobs: Optional[int] = None,
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    **kwargs,
-):
-    """Benchmark a registry experiment, optionally via the parallel sweep.
-
-    With ``jobs`` (or ``REPRO_BENCH_JOBS`` in the environment) set to
-    N > 1, the experiment runs through
-    :class:`repro.experiments.parallel.ParallelSweep` with N workers —
-    same merged result, so ``record_series`` output is unchanged —
-    letting the benchmark harness measure the fan-out speedup. The
-    result cache is deliberately not used here: a benchmark that reads
-    cached cells would time the cache, not the simulator.
-    """
-    from repro.experiments.registry import RUNNERS
-
-    if jobs is None:
-        jobs = int(os.environ.get("REPRO_BENCH_JOBS", "0")) or None
-    if jobs is not None and jobs > 1:
-        from repro.experiments.parallel import ParallelSweep
-
-        sweep = ParallelSweep(name, scale=scale, seed=seed, jobs=jobs)
-        return run_once(benchmark, sweep.run)
-    if scale is not None:
-        kwargs["scale"] = scale
-    if seed is not None:
-        kwargs["seed"] = seed
-    return run_once(benchmark, RUNNERS[name], **kwargs)
 
 
 def record_series(benchmark, result) -> None:

@@ -68,7 +68,6 @@ def run(
     scale: float = 1.0,
     seed: int = 1,
     mtbf_s: Sequence[float] = MTBF_S,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Sweep the disk failure rate over the mirrored array."""
     n_requests = scaled_count(6_000, scale, minimum=150)
@@ -105,20 +104,9 @@ def run(
         result.add_point("degraded", faults.degraded_reads if faults else 0)
         result.add_point("failed_cmds", faults.failed_commands if faults else 0)
         log(
-            verbose,
             f"availability mtbf={mtbf:g}s: {res.throughput_mb_s:.1f} MB/s, "
             f"avail={faults.availability if faults else 1.0:.4f}, "
             f"retries={faults.media_retries if faults else 0}, "
-            f"degraded={faults.degraded_reads if faults else 0}",
+            f"degraded={faults.degraded_reads if faults else 0}"
         )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

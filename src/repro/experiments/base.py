@@ -1,19 +1,29 @@
 """Shared experiment plumbing: series containers and sweep helpers.
 
 Every experiment driver exposes ``run(scale=..., seed=...) ->
-SeriesResult`` plus a ``main()`` that prints the paper-style table.
-``scale`` shrinks workload sizes (request counts, file counts, cache
-footprints) proportionally so the same driver powers full CLI runs,
-fast benchmarks and CI tests.
+SeriesResult``; :mod:`repro.experiments.registry` records how the CLI
+splits and renders it. ``scale`` shrinks workload sizes (request
+counts, file counts, cache footprints) proportionally so the same
+driver powers full CLI runs, fast benchmarks and CI tests.
 """
 
 from __future__ import annotations
 
-import sys
+import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, TypeVar
 
 from repro.metrics.report import format_table
+
+X = TypeVar("X")
+
+#: Progress lines from the drivers. Silent unless a handler is
+#: attached; the experiment CLI attaches one on stderr.
+LOGGER = logging.getLogger("repro.experiments")
+
+#: A sweep's knee: the first x whose p99 latency is this many times the
+#: p99 at the sweep's first x.
+KNEE_FACTOR = 10.0
 
 
 @dataclass
@@ -125,19 +135,21 @@ def scaled_count(base: int, scale: float, minimum: int = 1) -> int:
     return max(minimum, int(base * scale))
 
 
-def log(verbose: bool, message: str) -> None:
-    """Progress line on stderr when ``verbose``."""
-    if verbose:
-        print(message, file=sys.stderr, flush=True)
+def log(message: str) -> None:
+    """One progress line on :data:`LOGGER`."""
+    LOGGER.info(message)
 
 
-def parse_scale(argv: Optional[Sequence[str]], default: float) -> float:
-    """Tiny ``--scale X`` argv parser shared by experiment ``main()``s."""
-    if not argv:
-        return default
-    args = list(argv)
-    if "--scale" in args:
-        idx = args.index("--scale")
-        if idx + 1 < len(args):
-            return float(args[idx + 1])
-    return default
+def first_knee(xs: Sequence[X], p99s: Sequence[float]) -> Optional[X]:
+    """The first x whose p99 is :data:`KNEE_FACTOR` times ``p99s[0]``.
+
+    ``None`` means the knee lies beyond the sweep (or the base p99 is
+    zero, so no factor of it is meaningful).
+    """
+    base = p99s[0]
+    if base <= 0:
+        return None
+    for x, p99 in zip(xs, p99s):
+        if p99 >= KNEE_FACTOR * base:
+            return x
+    return None

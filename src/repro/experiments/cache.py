@@ -39,11 +39,11 @@ def _sha256(data: bytes) -> str:
 @lru_cache(maxsize=None)
 def _driver_files() -> Dict[str, Path]:
     """Experiment name -> source file of its driver module."""
-    from repro.experiments.registry import RUNNERS
+    from repro.experiments.registry import REGISTRY
 
     return {
-        name: Path(inspect.getfile(fn)).resolve()
-        for name, fn in RUNNERS.items()
+        name: Path(inspect.getfile(exp.run)).resolve()
+        for name, exp in REGISTRY.items()
     }
 
 

@@ -2,19 +2,28 @@
 
 Also reachable as ``python -m repro <experiment>``. With ``all``, every
 experiment runs in sequence (slow at full scale; pass ``--scale``).
+
+Every run takes one path: the result comes from the experiment's
+``run()`` — or, when a parallel flag is given, from
+:class:`~repro.experiments.parallel.ParallelSweep` — and the
+experiment's registered ``render`` text goes to stdout, followed by
+the optional chart and report. Serial and parallel runs therefore
+print the same bytes. Driver progress lines go to stderr.
+
+Parsing is strict argparse: an unknown flag, a flag missing its value,
+a malformed number, or an unknown experiment or fault profile exits 2
+with a usage message on stderr and runs nothing.
+
 ``--chart`` appends an ASCII rendering of the series, so curve shapes
 can be eyeballed without a plotting stack. ``--report PATH`` writes a
 :func:`repro.perfkit.report.series_report` markdown page for the run —
-series table, sparklines, and the experiment's analysis section (knee
-tables for ``scale_sweep``/``hybrid_array``) — alongside the normal
-stdout tables.
+the rendered text plus per-series sparklines.
 
 Parallel sweeps: ``--jobs N`` fans the experiment's independent cells
 over N worker processes and ``--cache-dir``/``--no-cache`` control the
 content-addressed result cache (default ``.repro_cache``; cells whose
-inputs and code are unchanged are served from disk). The merged output
-is byte-identical to the serial run; per-cell wall times and cache
-hit/miss counters go to stderr.
+inputs and code are unchanged are served from disk). Per-cell wall
+times and cache hit/miss counters go to stderr.
 
 Fault injection: ``--faults <profile>`` installs a named
 :mod:`repro.faults` profile (``none``, ``light``, ``flaky``,
@@ -30,109 +39,101 @@ Tracing: ``--trace`` records the run's request lifecycle with
 :class:`repro.obs.tracer.Tracer` and exports it on exit —
 Chrome-trace JSON by default (load in Perfetto / ``chrome://tracing``),
 or JSONL when ``--trace-out`` ends in ``.jsonl``. ``--trace-limit N``
-caps the event count. The experiment tables on stdout stay
-byte-identical to an untraced run; the trace summary and per-disk
-time-in-state table go to stderr. Tracing forces a serial in-process
-run (worker processes would record into their own tracers), so
-``--jobs`` is ignored with a warning.
+caps the event count; either flag implies ``--trace``. The experiment
+tables on stdout stay byte-identical to an untraced run; the trace
+summary and per-disk time-in-state table go to stderr. Tracing forces
+a serial in-process run (worker processes would record into their own
+tracers), so ``--jobs`` is ignored with a warning.
 """
 
 from __future__ import annotations
 
+import argparse
+import logging
+import math
 import sys
-from typing import Dict, Optional, Sequence
+from contextlib import ExitStack
+from typing import Callable, Optional, Sequence
 
-from repro.experiments.registry import EXPERIMENTS, RUNNERS
+from repro.experiments.base import LOGGER
+from repro.experiments.parallel import sweep_experiment
+from repro.experiments.registry import REGISTRY
+from repro.faults.profile import PROFILES, fault_profile, get_profile
+from repro.obs.tracer import Tracer, tracing
 
 #: Default on-disk location of the result cache for parallel runs.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
+EXAMPLES = """\
+example: repro-exp fig03 --scale 0.2 --chart
+example: repro-exp fig07 --jobs 4          # parallel + cached
+example: repro-exp fig07 --jobs 4 --no-cache
+example: repro-exp availability --faults heavy --scale 0.2
+example: repro-exp fig07 --scale 0.05 --trace   # fig07.trace.json
+example: repro-exp scale_sweep --scale 0.02 --report sweep.md"""
 
-def usage() -> str:
-    """The help text."""
-    names = " ".join(sorted(EXPERIMENTS))
-    return (
-        "usage: repro-exp <experiment> [--scale X] [--chart]\n"
-        "                 [--jobs N] [--cache-dir DIR] [--no-cache]\n"
-        "                 [--faults PROFILE] [--report PATH]\n"
-        "                 [--trace] [--trace-out PATH] [--trace-limit N]\n"
-        f"experiments: {names} all\n"
-        "fault profiles: none light flaky heavy\n"
-        "example: repro-exp fig03 --scale 0.2 --chart\n"
-        "example: repro-exp fig07 --jobs 4          # parallel + cached\n"
-        "example: repro-exp fig07 --jobs 4 --no-cache\n"
-        "example: repro-exp availability --faults heavy --scale 0.2\n"
-        "example: repro-exp fig07 --scale 0.05 --trace   # fig07.trace.json\n"
-        "example: repro-exp scale_sweep --scale 0.02 --report sweep.md"
+
+def _experiment_id(text: str) -> str:
+    if text != "all" and text not in REGISTRY:
+        raise argparse.ArgumentTypeError(f"unknown experiment {text!r}")
+    return text
+
+
+def _positive(kind: type) -> Callable[[str], float]:
+    """argparse type: a finite number of ``kind`` greater than zero."""
+
+    def parse(text: str) -> float:
+        try:
+            value = kind(text)
+            if 0 < value < math.inf:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected a positive {kind.__name__}, got {text!r}"
+        )
+
+    return parse
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The strict parser behind :func:`main`."""
+    parser = argparse.ArgumentParser(
+        prog="repro-exp",
+        description="Regenerate a figure or table of the paper ('all' runs every one).",
+        epilog=f"experiments: {' '.join(sorted(REGISTRY))} all\n"
+        f"fault profiles: {' '.join(PROFILES)}\n{EXAMPLES}",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-
-
-def _parse_options(rest: Sequence[str]) -> Dict[str, object]:
-    """Extract the sweep options from a raw argv tail."""
-    args = list(rest)
-    opts: Dict[str, object] = {
-        "scale": None,
-        "jobs": None,
-        "cache_dir": None,
-        "no_cache": False,
-        "chart": "--chart" in args,
-        "trace": "--trace" in args,
-        "trace_out": None,
-        "trace_limit": None,
-        "faults": None,
-        "report": None,
-    }
-
-    def value_of(flag: str) -> Optional[str]:
-        if flag in args:
-            idx = args.index(flag)
-            if idx + 1 < len(args):
-                return args[idx + 1]
-        return None
-
-    scale = value_of("--scale")
-    if scale is not None:
-        opts["scale"] = float(scale)
-    jobs = value_of("--jobs")
-    if jobs is not None:
-        opts["jobs"] = int(jobs)
-    opts["cache_dir"] = value_of("--cache-dir")
-    opts["no_cache"] = "--no-cache" in args
-    opts["trace_out"] = value_of("--trace-out")
-    limit = value_of("--trace-limit")
-    if limit is not None:
-        opts["trace_limit"] = int(limit)
-    opts["faults"] = value_of("--faults")
-    opts["report"] = value_of("--report")
-    # Pointing at an output file or capping events implies tracing.
-    if opts["trace_out"] is not None or opts["trace_limit"] is not None:
-        opts["trace"] = True
-    return opts
-
-
-def _strip_cli_flags(rest: Sequence[str]) -> list:
-    """Remove CLI-level options before an experiment's main sees argv."""
-    out = []
-    skip = False
-    for arg in rest:
-        if skip:
-            skip = False
-            continue
-        if arg == "--trace":
-            continue
-        if arg in ("--trace-out", "--trace-limit", "--faults", "--report"):
-            skip = True
-            continue
-        out.append(arg)
-    return out
-
-
-def _wants_parallel(opts: Dict[str, object]) -> bool:
-    return (
-        opts["jobs"] is not None
-        or opts["cache_dir"] is not None
-        or opts["no_cache"]
+    parser.add_argument("experiment", type=_experiment_id, help="experiment id, or 'all'")
+    parser.add_argument(
+        "--scale", type=_positive(float), help="workload scale (default: the driver's)"
     )
+    parser.add_argument("--chart", action="store_true", help="append an ASCII chart")
+    parser.add_argument(
+        "--jobs", type=_positive(int), metavar="N", help="parallel sweep over N workers"
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR",
+        help=f"parallel-sweep result cache (default {DEFAULT_CACHE_DIR})",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true", help="parallel sweep without the result cache"
+    )
+    parser.add_argument(
+        "--faults", choices=list(PROFILES), metavar="PROFILE",
+        help="install a named fault profile",
+    )
+    parser.add_argument("--report", metavar="PATH", help="write a perfkit markdown report")
+    parser.add_argument("--trace", action="store_true", help="record the request lifecycle")
+    parser.add_argument(
+        "--trace-out", metavar="PATH", help="trace file (.jsonl for JSONL; implies --trace)"
+    )
+    parser.add_argument(
+        "--trace-limit", type=_positive(int), metavar="N",
+        help="cap recorded trace events (implies --trace)",
+    )
+    return parser
 
 
 def _write_report(result, path) -> None:
@@ -156,68 +157,13 @@ def _print_chart(result) -> None:
         print(f"(no chart: {exc})")
 
 
-def _run_parallel(name: str, opts: Dict[str, object]) -> None:
-    """Run one experiment through the parallel sweep runner."""
-    from repro.experiments.parallel import sweep_experiment
-
-    cache_dir = None
-    if not opts["no_cache"]:
-        cache_dir = opts["cache_dir"] or DEFAULT_CACHE_DIR
-    result, metrics = sweep_experiment(
-        name,
-        scale=opts["scale"],
-        jobs=opts["jobs"] or 1,
-        cache_dir=cache_dir,
-        faults=opts["faults"],
-    )
-    print(result.to_text())
-    if opts["chart"]:
-        _print_chart(result)
-    if opts["report"] is not None:
-        _write_report(result, opts["report"])
-    print(metrics.to_text(), file=sys.stderr)
-
-
-def _run_with_result(name: str, opts: Dict[str, object]) -> None:
-    runner = RUNNERS[name]
-    kwargs = {}
-    if opts["scale"] is not None:
-        kwargs["scale"] = opts["scale"]
-    result = runner(**kwargs)
-    print(result.to_text())
-    if opts["chart"]:
-        _print_chart(result)
-    if opts["report"] is not None:
-        _write_report(result, opts["report"])
-
-
-def _dispatch(name: str, rest: Sequence[str], opts: Dict[str, object]) -> None:
-    if _wants_parallel(opts):
-        # Workers resolve and install the profile by name themselves.
-        _run_parallel(name, opts)
-        return
-    from contextlib import nullcontext
-
-    ctx = nullcontext()
-    if opts["faults"] is not None:
-        from repro.faults.profile import fault_profile, get_profile
-
-        ctx = fault_profile(get_profile(opts["faults"]))
-    with ctx:
-        if opts["chart"] or opts["report"] is not None:
-            _run_with_result(name, opts)
-        else:
-            EXPERIMENTS[name](_strip_cli_flags(rest))
-
-
-def _export_trace(tracer, name: str, opts: Dict[str, object]) -> None:
+def _export_trace(tracer: Tracer, path: str) -> None:
     """Write the recorded trace and a stderr summary."""
     from repro.metrics.report import format_time_in_state
     from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.timeline import spans_time_in_state
 
-    path = opts["trace_out"] or f"{name}.trace.json"
-    if str(path).endswith(".jsonl"):
+    if path.endswith(".jsonl"):
         write_jsonl(tracer, path)
     else:
         write_chrome_trace(tracer, path)
@@ -234,54 +180,72 @@ def _export_trace(tracer, name: str, opts: Dict[str, object]) -> None:
         print(format_time_in_state([states[d] for d in disks]), file=sys.stderr)
 
 
-def _dispatch_traced(name: str, rest: Sequence[str], opts: Dict[str, object]) -> None:
-    """Serial dispatch with a recording tracer installed for the run."""
-    from repro.obs.tracer import Tracer, tracing
-
-    if _wants_parallel(opts):
+def _run(name: str, opts: argparse.Namespace) -> None:
+    """Run one experiment, print its rendered result, then the extras."""
+    exp = REGISTRY[name]
+    trace = opts.trace or opts.trace_out is not None or opts.trace_limit is not None
+    parallel = opts.jobs is not None or opts.cache_dir is not None or opts.no_cache
+    if trace and parallel:
         print(
             "--trace records in-process; ignoring --jobs/--cache-dir "
             "and running serially",
             file=sys.stderr,
         )
-    tracer = Tracer(limit=opts["trace_limit"])
-    serial_opts = dict(opts, jobs=None, cache_dir=None, no_cache=False)
-    with tracing(tracer):
-        _dispatch(name, _strip_cli_flags(rest), serial_opts)
-    _export_trace(tracer, name, opts)
+        parallel = False
+    tracer = Tracer(limit=opts.trace_limit) if trace else None
+    metrics = None
+    with ExitStack() as stack:
+        if tracer is not None:
+            stack.enter_context(tracing(tracer))
+        if parallel:
+            # Workers resolve and install the fault profile by name.
+            cache_dir = None if opts.no_cache else opts.cache_dir or DEFAULT_CACHE_DIR
+            result, metrics = sweep_experiment(
+                name,
+                scale=opts.scale,
+                jobs=opts.jobs or 1,
+                cache_dir=cache_dir,
+                faults=opts.faults,
+            )
+        else:
+            if opts.faults is not None:
+                stack.enter_context(fault_profile(get_profile(opts.faults)))
+            result = exp.run(**({} if opts.scale is None else {"scale": opts.scale}))
+    print(exp.render(result))
+    if opts.chart:
+        _print_chart(result)
+    if opts.report is not None:
+        _write_report(result, opts.report)
+    if metrics is not None:
+        print(metrics.to_text(), file=sys.stderr)
+    if tracer is not None:
+        _export_trace(tracer, opts.trace_out or f"{name}.trace.json")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Dispatch to one (or all) experiment drivers."""
+    """Run one (or every) experiment; returns the exit status."""
     args = list(sys.argv[1:] if argv is None else argv)
-    if not args or args[0] in ("-h", "--help"):
-        print(usage())
+    parser = build_parser()
+    if not args:
+        parser.print_help()
         return 0
-    name = args[0]
-    rest = args[1:]
-    opts = _parse_options(rest)
-    if opts["jobs"] is not None and opts["jobs"] < 1:
-        print(f"--jobs must be >= 1, got {opts['jobs']}", file=sys.stderr)
-        return 2
-    if opts["faults"] is not None:
-        from repro.errors import ConfigError
-        from repro.faults.profile import get_profile
-
-        try:
-            get_profile(opts["faults"])
-        except ConfigError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    dispatch = _dispatch_traced if opts["trace"] else _dispatch
-    if name == "all":
-        for exp_name in sorted(EXPERIMENTS):
-            dispatch(exp_name, rest, opts)
-            print()
-        return 0
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}\n{usage()}", file=sys.stderr)
-        return 2
-    dispatch(name, rest, opts)
+    try:
+        opts = parser.parse_args(args)
+    except SystemExit as exc:  # argparse already printed the diagnosis
+        return int(exc.code or 0)
+    names = sorted(REGISTRY) if opts.experiment == "all" else [opts.experiment]
+    handler = logging.StreamHandler(sys.stderr)
+    level = LOGGER.level
+    LOGGER.addHandler(handler)
+    LOGGER.setLevel(logging.INFO)
+    try:
+        for name in names:
+            _run(name, opts)
+            if opts.experiment == "all":
+                print()
+    finally:
+        LOGGER.removeHandler(handler)
+        LOGGER.setLevel(level)
     return 0
 
 

@@ -13,7 +13,7 @@ keeps fetching 128 KB of increasingly unrelated blocks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -30,7 +30,6 @@ def run(
     seed: int = 1,
     frag_points: Sequence[float] = FRAG_POINTS,
     file_size_kb: int = 32,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Sweep fragmentation; report normalized FOR time and its gain."""
     n_requests = scaled_count(10_000, scale, minimum=200)
@@ -62,21 +61,10 @@ def run(
             "useless_RA_blind", base.cache.pollution_rate
         )
         log(
-            verbose,
             f"ext_frag p={frag}: FOR {normalized:.3f} "
-            f"(blind pollution {base.cache.pollution_rate:.2f})",
+            f"(blind pollution {base.cache.pollution_rate:.2f})"
         )
     result.notes.append(
         "§4: 'The FOR benefits increase with ... higher fragmentation'"
     )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

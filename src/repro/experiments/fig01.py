@@ -10,7 +10,7 @@ and 8-block files to ~6 (-29%).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,13 +55,3 @@ def run(
         "sim = measured on allocated layouts; model = E[f/(B+1)] closed form"
     )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0)).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,7 +10,7 @@ badly above.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -27,7 +27,6 @@ def run(
     scale: float = 1.0,
     seed: int = 1,
     file_sizes_kb: Sequence[int] = FILE_SIZES_KB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Sweep average file size; normalize I/O times to Segm."""
     n_requests = scaled_count(10_000, scale, minimum=200)
@@ -58,15 +57,5 @@ def run(
             if tech is SEGM:
                 baseline = res
             result.add_point(tech.label, res.io_time_ms / baseline.io_time_ms)
-            log(verbose, f"fig03 {size_kb}KB {tech.label}: {res.io_time_s:.2f}s")
+            log(f"fig03 {size_kb}KB {tech.label}: {res.io_time_s:.2f}s")
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

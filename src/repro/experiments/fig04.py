@@ -8,7 +8,7 @@ then Block edges ahead by a few percent.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -25,7 +25,6 @@ def run(
     scale: float = 1.0,
     seed: int = 1,
     stream_counts: Sequence[int] = STREAM_COUNTS,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Sweep concurrency; normalize I/O times to Segm per point."""
     n_requests = scaled_count(10_000, scale, minimum=200)
@@ -48,15 +47,5 @@ def run(
             if tech is SEGM:
                 baseline = res
             result.add_point(tech.label, res.io_time_ms / baseline.io_time_ms)
-            log(verbose, f"fig04 t={streams} {tech.label}: {res.io_time_s:.2f}s")
+            log(f"fig04 t={streams} {tech.label}: {res.io_time_s:.2f}s")
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

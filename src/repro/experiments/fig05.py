@@ -10,7 +10,7 @@ at alpha = 1).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -28,7 +28,6 @@ def run(
     seed: int = 1,
     alphas: Sequence[float] = ALPHAS,
     hdc_bytes: int = 2 * MB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Sweep the Zipf coefficient; normalize to Segm per point."""
     n_requests = scaled_count(10_000, scale, minimum=200)
@@ -62,16 +61,6 @@ def run(
             if tech.hdc:
                 hit_rate = res.hdc_hit_rate
             result.add_point(tech.label, res.io_time_ms / baseline.io_time_ms)
-            log(verbose, f"fig05 a={alpha} {tech.label}: {res.io_time_s:.2f}s")
+            log(f"fig05 a={alpha} {tech.label}: {res.io_time_s:.2f}s")
         result.add_point("hdc_hit_rate", hit_rate)
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -10,7 +10,7 @@ stays roughly constant.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.config import ultrastar_36z15_config
 from repro.experiments.base import SeriesResult, log, scaled_count
@@ -28,7 +28,6 @@ def run(
     seed: int = 1,
     write_fractions: Sequence[float] = WRITE_FRACTIONS,
     hdc_bytes: int = 2 * MB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Sweep the write percentage; normalize to Segm per point."""
     n_requests = scaled_count(10_000, scale, minimum=200)
@@ -60,15 +59,5 @@ def run(
             if tech is SEGM:
                 baseline = res
             result.add_point(tech.label, res.io_time_ms / baseline.io_time_ms)
-            log(verbose, f"fig06 w={write_frac} {tech.label}: {res.io_time_s:.2f}s")
+            log(f"fig06 w={write_frac} {tech.label}: {res.io_time_s:.2f}s")
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -6,9 +6,9 @@ Expected shape: like Fig. 8, with lower hit rates (larger footprint);
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.base import SeriesResult, parse_scale
+from repro.experiments.base import SeriesResult
 from repro.experiments.servers import HDC_SIZES_KB, hdc_sweep
 from repro.workloads.proxy import ProxyServerSpec, ProxyServerWorkload
 
@@ -20,7 +20,6 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 1,
     hdc_sizes_kb: Sequence[int] = HDC_SIZES_KB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """HDC-size sweep over the proxy workload."""
     return hdc_sweep(
@@ -32,15 +31,6 @@ def run(
         striping_unit_kb=STRIPING_UNIT_KB,
         hdc_sizes_kb=hdc_sizes_kb,
         seed=seed,
-        verbose=verbose,
         hdc_pin_fraction=scale,
         workload_key=("proxy", scale, seed),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    print(run(scale=parse_scale(argv, DEFAULT_SCALE), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -7,9 +7,9 @@ to ~12%, FOR+HDC up to ~21%.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.base import SeriesResult, parse_scale
+from repro.experiments.base import SeriesResult
 from repro.experiments.servers import STRIPING_UNITS_KB, striping_sweep
 from repro.workloads.fileserver import FileServerSpec, FileServerWorkload
 
@@ -20,7 +20,6 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 1,
     units_kb: Sequence[int] = STRIPING_UNITS_KB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Striping-unit sweep over the file-server workload."""
     return striping_sweep(
@@ -31,15 +30,6 @@ def run(
         ).build(),
         units_kb=units_kb,
         seed=seed,
-        verbose=verbose,
         hdc_pin_fraction=scale,
         workload_key=("file", scale, seed),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    print(run(scale=parse_scale(argv, DEFAULT_SCALE), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

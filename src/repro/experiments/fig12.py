@@ -7,9 +7,9 @@ read-ahead starvation knee near 2.5 MB.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments.base import SeriesResult, parse_scale
+from repro.experiments.base import SeriesResult
 from repro.experiments.servers import HDC_SIZES_KB, hdc_sweep
 from repro.workloads.fileserver import FileServerSpec, FileServerWorkload
 
@@ -21,7 +21,6 @@ def run(
     scale: float = DEFAULT_SCALE,
     seed: int = 1,
     hdc_sizes_kb: Sequence[int] = HDC_SIZES_KB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """HDC-size sweep over the file-server workload."""
     return hdc_sweep(
@@ -33,15 +32,6 @@ def run(
         striping_unit_kb=STRIPING_UNIT_KB,
         hdc_sizes_kb=hdc_sizes_kb,
         seed=seed,
-        verbose=verbose,
         hdc_pin_fraction=scale,
         workload_key=("file", scale, seed),
     )
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    print(run(scale=parse_scale(argv, DEFAULT_SCALE), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,8 +19,9 @@ the mirror scheduler steered to the secondary half (on the hybrid
 array: to the flash replicas).
 
 Like scale_sweep, knee detection is post-processing over the merged
-series (:func:`find_knees` / :func:`knee_table`) — cells split by
-array kind, and serial vs ``--jobs N`` outputs stay byte-identical.
+series (:func:`find_knees` / :func:`knee_table`, appended by
+:func:`render`) — cells split by array kind, and serial vs ``--jobs N``
+outputs stay byte-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +30,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.array.raid import MirroredArray, mirrored_striping
 from repro.config import DeviceKind, SimConfig, ultrastar_36z15_config
-from repro.experiments.base import SeriesResult, log, scaled_count
+from repro.experiments.base import (
+    KNEE_FACTOR,
+    SeriesResult,
+    first_knee,
+    log,
+    scaled_count,
+)
 from repro.experiments.techniques import ALL_TECHNIQUES, technique_config
 from repro.fs.bitmap_builder import build_bitmaps
 from repro.hdc.planner import plan_pin_sets
@@ -59,9 +66,6 @@ HDC_KB = 2048
 STREAM_COUNTS = (4, 16, 64)
 #: Requests replayed per run at scale 1.0.
 BASE_REQUESTS = 6_000
-#: A cell's knee: the first concurrency level whose p99 is this many
-#: times the same technique's p99 at the lowest level.
-KNEE_FACTOR = 10.0
 
 
 def _pin_on_both_replicas(system: System, config: SimConfig, profile) -> None:
@@ -116,7 +120,6 @@ def run(
     techniques: Sequence[str] = TECHNIQUE_KEYS,
     streams: Sequence[int] = STREAM_COUNTS,
     hdc_kb: int = HDC_KB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Replay the workload over each array organization."""
     n_requests = scaled_count(BASE_REQUESTS, scale, minimum=150)
@@ -183,10 +186,9 @@ def run(
                 mirror_reads += secondary
                 total_reads += primary + secondary
                 log(
-                    verbose,
                     f"hybrid_array {array_kind} {technique.label}@{n_streams}: "
                     f"{res.throughput_mb_s:.2f} MB/s "
-                    f"p99={res.latency_percentile(99):.2f}ms",
+                    f"p99={res.latency_percentile(99):.2f}ms"
                 )
         result.add_point("ssd_peak_ch", ssd_peak)
         result.add_point(
@@ -210,13 +212,8 @@ def find_knees(
     knees: Dict[Tuple[str, str], Optional[int]] = {}
     for i, array_kind in enumerate(result.x_values):
         for key in techniques:
-            base = result.get(f"p99_ms[{key}]@{streams[0]}")[i]
-            knees[(str(array_kind), key)] = None
-            for n in streams:
-                p99 = result.get(f"p99_ms[{key}]@{n}")[i]
-                if base > 0 and p99 >= KNEE_FACTOR * base:
-                    knees[(str(array_kind), key)] = n
-                    break
+            p99s = [result.get(f"p99_ms[{key}]@{n}")[i] for n in streams]
+            knees[(str(array_kind), key)] = first_knee(streams, p99s)
     return knees
 
 
@@ -261,14 +258,6 @@ def knee_table(
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    result = run(scale=parse_scale(argv, 1.0), verbose=True)
-    print(result.to_text())
-    print()
-    print(knee_table(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def render(result: SeriesResult) -> str:
+    """The series table, then :func:`knee_table`."""
+    return f"{result.to_text()}\n\n{knee_table(result)}"

@@ -1,12 +1,14 @@
-"""Name → experiment-driver registry for the CLI.
+"""The experiment registry: one :class:`Experiment` record per id.
 
-Besides the ``main()``/``run()`` tables, this module declares how each
-experiment *splits* for the parallel sweep runner: a
-:class:`SweepSpec` names the ``run()`` keyword that carries the
-figure's x axis (every driver accepts a restricted axis and returns a
+A record says how to run an experiment, how it splits for the parallel
+sweep runner, and how its result prints. ``axis`` names the ``run()``
+keyword that carries the figure's x axis (every driver accepts a
+restricted axis and returns a
 :class:`~repro.experiments.base.SeriesResult` covering just that
-slice), so :mod:`repro.experiments.parallel` can expand a registry
-entry into independent single-x cells and merge them back in order.
+slice), so :mod:`repro.experiments.parallel` can expand a record into
+independent single-x cells and merge them back in order. ``render``
+turns the (merged) result into the text the CLI prints, so serial and
+parallel runs print the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments import servers
+from repro.experiments.base import SeriesResult
 from repro.experiments import (
     availability,
     ext_frag,
@@ -39,96 +42,64 @@ from repro.experiments import (
     validation,
 )
 
-#: Every experiment the paper's evaluation contains, by id.
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig01": fig01.main,
-    "fig02": fig02.main,
-    "fig03": fig03.main,
-    "fig04": fig04.main,
-    "fig05": fig05.main,
-    "fig06": fig06.main,
-    "fig07": fig07.main,
-    "fig08": fig08.main,
-    "fig09": fig09.main,
-    "fig10": fig10.main,
-    "fig11": fig11.main,
-    "fig12": fig12.main,
-    "table1": table1.main,
-    "table2": table2.main,
-    "validation": validation.main,
-    "ext_frag": ext_frag.main,
-    "availability": availability.main,
-    "trace_replay": trace_replay.main,
-    "scale_sweep": scale_sweep.main,
-    "service_demo": service_demo.main,
-    "hybrid_array": hybrid_array.main,
-}
-
-#: run(scale=..., seed=...) entry points (programmatic access).
-RUNNERS: Dict[str, Callable] = {
-    "fig01": fig01.run,
-    "fig02": fig02.run,
-    "fig03": fig03.run,
-    "fig04": fig04.run,
-    "fig05": fig05.run,
-    "fig06": fig06.run,
-    "fig07": fig07.run,
-    "fig08": fig08.run,
-    "fig09": fig09.run,
-    "fig10": fig10.run,
-    "fig11": fig11.run,
-    "fig12": fig12.run,
-    "table1": table1.run,
-    "table2": table2.run,
-    "validation": validation.run,
-    "ext_frag": ext_frag.run,
-    "availability": availability.run,
-    "trace_replay": trace_replay.run,
-    "scale_sweep": scale_sweep.run,
-    "service_demo": service_demo.run,
-    "hybrid_array": hybrid_array.run,
-}
-
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """How one experiment expands into parallelisable cells.
+class Experiment:
+    """How to run, split and print one experiment.
 
-    ``axis`` is the ``run()`` keyword holding the x-axis sequence;
+    ``axis`` is the ``run()`` keyword holding the x-axis sequence and
     ``values`` its default sweep points. ``axis=None`` means the
     experiment is indivisible and runs as a single cell (its internal
     structure is not a per-x loop, or splitting would rebuild shared
     state per cell for no gain).
     """
 
-    axis: Optional[str]
+    run: Callable[..., SeriesResult]
+    axis: Optional[str] = None
     values: Tuple[object, ...] = ()
+    render: Callable[[SeriesResult], str] = SeriesResult.to_text
 
 
-#: Cell-expansion declarations for the parallel sweep runner.
-SWEEPS: Dict[str, SweepSpec] = {
-    "fig01": SweepSpec("frag_points", tuple(fig01.FRAG_POINTS)),
-    "fig02": SweepSpec(None),  # three workloads feed one shared Zipf reference
-    "fig03": SweepSpec("file_sizes_kb", tuple(fig03.FILE_SIZES_KB)),
-    "fig04": SweepSpec("stream_counts", tuple(fig04.STREAM_COUNTS)),
-    "fig05": SweepSpec("alphas", tuple(fig05.ALPHAS)),
-    "fig06": SweepSpec("write_fractions", tuple(fig06.WRITE_FRACTIONS)),
-    "fig07": SweepSpec("units_kb", tuple(servers.STRIPING_UNITS_KB)),
-    "fig08": SweepSpec("hdc_sizes_kb", tuple(servers.HDC_SIZES_KB)),
-    "fig09": SweepSpec("units_kb", tuple(servers.STRIPING_UNITS_KB)),
-    "fig10": SweepSpec("hdc_sizes_kb", tuple(servers.HDC_SIZES_KB)),
-    "fig11": SweepSpec("units_kb", tuple(servers.STRIPING_UNITS_KB)),
-    "fig12": SweepSpec("hdc_sizes_kb", tuple(servers.HDC_SIZES_KB)),
-    "table1": SweepSpec(None),
-    "table2": SweepSpec("servers", tuple(table2.SERVERS)),
-    "validation": SweepSpec(None),
-    "ext_frag": SweepSpec("frag_points", tuple(ext_frag.FRAG_POINTS)),
-    "availability": SweepSpec("mtbf_s", tuple(availability.MTBF_S)),
-    "trace_replay": SweepSpec("techniques", tuple(trace_replay.TECHNIQUE_KEYS)),
-    "scale_sweep": SweepSpec("clients", tuple(scale_sweep.CLIENT_COUNTS)),
-    "hybrid_array": SweepSpec("arrays", tuple(hybrid_array.ARRAYS)),
+#: Every experiment the CLI and the parallel runner know, by id.
+REGISTRY: Dict[str, Experiment] = {
+    "fig01": Experiment(fig01.run, "frag_points", tuple(fig01.FRAG_POINTS)),
+    # three workloads feed one shared Zipf reference
+    "fig02": Experiment(fig02.run),
+    "fig03": Experiment(fig03.run, "file_sizes_kb", tuple(fig03.FILE_SIZES_KB)),
+    "fig04": Experiment(fig04.run, "stream_counts", tuple(fig04.STREAM_COUNTS)),
+    "fig05": Experiment(fig05.run, "alphas", tuple(fig05.ALPHAS)),
+    "fig06": Experiment(fig06.run, "write_fractions", tuple(fig06.WRITE_FRACTIONS)),
+    "fig07": Experiment(fig07.run, "units_kb", tuple(servers.STRIPING_UNITS_KB)),
+    "fig08": Experiment(fig08.run, "hdc_sizes_kb", tuple(servers.HDC_SIZES_KB)),
+    "fig09": Experiment(fig09.run, "units_kb", tuple(servers.STRIPING_UNITS_KB)),
+    "fig10": Experiment(fig10.run, "hdc_sizes_kb", tuple(servers.HDC_SIZES_KB)),
+    "fig11": Experiment(fig11.run, "units_kb", tuple(servers.STRIPING_UNITS_KB)),
+    "fig12": Experiment(fig12.run, "hdc_sizes_kb", tuple(servers.HDC_SIZES_KB)),
+    "table1": Experiment(table1.run, render=table1.render),
+    "table2": Experiment(table2.run, "servers", tuple(table2.SERVERS)),
+    "validation": Experiment(validation.run),
+    "ext_frag": Experiment(ext_frag.run, "frag_points", tuple(ext_frag.FRAG_POINTS)),
+    "availability": Experiment(availability.run, "mtbf_s", tuple(availability.MTBF_S)),
+    "trace_replay": Experiment(
+        trace_replay.run,
+        "techniques",
+        tuple(trace_replay.TECHNIQUE_KEYS),
+        render=trace_replay.render,
+    ),
+    "scale_sweep": Experiment(
+        scale_sweep.run,
+        "clients",
+        tuple(scale_sweep.CLIENT_COUNTS),
+        render=scale_sweep.render,
+    ),
+    "hybrid_array": Experiment(
+        hybrid_array.run,
+        "arrays",
+        tuple(hybrid_array.ARRAYS),
+        render=hybrid_array.render,
+    ),
     # Live-service demo: tenant bursts share one server and one engine
     # thread; timing-dependent by design, so it never splits (and is
     # never golden-diffed).
-    "service_demo": SweepSpec(None),
+    "service_demo": Experiment(service_demo.run),
 }

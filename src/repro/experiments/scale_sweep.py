@@ -18,9 +18,9 @@ the same memory as the 1k one. The per-cell request count is fixed
 amount of work* arriving at different rates.
 
 Knee detection is a pure post-processing step over the merged series
-(:func:`find_knees` / :func:`knee_table`), never part of ``run()`` —
-parallel cells each see a single population size, and the merged
-serial/parallel outputs must stay byte-identical.
+(:func:`find_knees` / :func:`knee_table`, appended by :func:`render`),
+never part of ``run()`` — parallel cells each see a single population
+size, and the merged serial/parallel outputs must stay byte-identical.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from repro.config import ultrastar_36z15_config
-from repro.experiments.base import SeriesResult, log, scaled_count
+from repro.experiments.base import (
+    KNEE_FACTOR,
+    SeriesResult,
+    first_knee,
+    log,
+    scaled_count,
+)
 from repro.experiments.runner import TechniqueRunner
 from repro.experiments.techniques import ALL_TECHNIQUES
 from repro.loadgen.generate import build_layout, generate_records
@@ -46,9 +52,6 @@ HDC_KB = 2048
 BASE_REQUESTS = 20_000
 #: Population preset providing per-client behavior.
 SPEC_NAME = "web3"
-#: A technique's knee: the first population whose p99 is this many
-#: times the same technique's p99 at the smallest population.
-KNEE_FACTOR = 10.0
 
 
 def run(
@@ -58,7 +61,6 @@ def run(
     techniques: Sequence[str] = TECHNIQUE_KEYS,
     spec_name: str = SPEC_NAME,
     hdc_kb: int = HDC_KB,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Replay the population at each size under each technique."""
     config = ultrastar_36z15_config(seed=seed)
@@ -93,10 +95,9 @@ def run(
             result.add_point(f"p99_ms[{key}]", res.latency_percentile(99))
             result.add_point(f"mb_s[{key}]", res.throughput_mb_s)
             log(
-                verbose,
                 f"scale_sweep {n_clients} clients {technique.label}: "
                 f"p99={res.latency_percentile(99):.2f}ms "
-                f"tput={res.throughput_mb_s:.2f}MB/s",
+                f"tput={res.throughput_mb_s:.2f}MB/s"
             )
     return result
 
@@ -112,13 +113,8 @@ def find_knees(
     """
     knees: Dict[str, Optional[int]] = {}
     for key in techniques:
-        series = result.get(f"p99_ms[{key}]")
-        base = series[0]
-        knees[key] = None
-        for x, p99 in zip(result.x_values, series):
-            if base > 0 and p99 >= KNEE_FACTOR * base:
-                knees[key] = int(x)  # type: ignore[call-overload]
-                break
+        knee = first_knee(result.x_values, result.get(f"p99_ms[{key}]"))
+        knees[key] = None if knee is None else int(knee)  # type: ignore[call-overload]
     return knees
 
 
@@ -148,14 +144,6 @@ def knee_table(
     )
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    result = run(scale=parse_scale(argv, 1.0), verbose=True)
-    print(result.to_text())
-    print()
-    print(knee_table(result))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def render(result: SeriesResult) -> str:
+    """The series table, then :func:`knee_table`."""
+    return f"{result.to_text()}\n\n{knee_table(result)}"

@@ -103,7 +103,6 @@ def striping_sweep(
     units_kb: Sequence[int] = STRIPING_UNITS_KB,
     hdc_bytes: int = 2 * MB,
     seed: int = 1,
-    verbose: bool = False,
     hdc_pin_fraction: float = 1.0,
     workload_key: Optional[tuple] = None,
 ) -> SeriesResult:
@@ -127,10 +126,7 @@ def striping_sweep(
                 hdc_pin_fraction=hdc_pin_fraction,
             )
             result.add_point(tech.label, res.io_time_s)
-            log(
-                verbose,
-                f"{exp_id} unit={unit_kb}KB {tech.label}: {res.io_time_s:.2f}s",
-            )
+            log(f"{exp_id} unit={unit_kb}KB {tech.label}: {res.io_time_s:.2f}s")
     result.notes.append(
         f"trace: {len(trace)} disk records, writes "
         f"{100 * trace.write_fraction:.1f}%, streams {trace.meta.n_streams}"
@@ -145,7 +141,6 @@ def hdc_sweep(
     striping_unit_kb: int,
     hdc_sizes_kb: Sequence[int] = HDC_SIZES_KB,
     seed: int = 1,
-    verbose: bool = False,
     hdc_pin_fraction: float = 1.0,
     workload_key: Optional[tuple] = None,
 ) -> SeriesResult:
@@ -177,14 +172,13 @@ def hdc_sweep(
                 )
             except ConfigError as exc:
                 result.add_point(tech.label, float("nan"))
-                log(verbose, f"{exp_id} hdc={hdc_kb}KB {tech.label}: skipped ({exc})")
+                log(f"{exp_id} hdc={hdc_kb}KB {tech.label}: skipped ({exc})")
                 continue
             hit_rate = max(hit_rate, res.hdc_hit_rate)
             result.add_point(tech.label, res.io_time_s)
             log(
-                verbose,
                 f"{exp_id} hdc={hdc_kb}KB {tech.label}: {res.io_time_s:.2f}s "
-                f"hit={res.hdc_hit_rate:.3f}",
+                f"hit={res.hdc_hit_rate:.3f}"
             )
         result.add_point("hdc_hit_rate", hit_rate)
     result.notes.append(f"striping unit fixed at {striping_unit_kb} KB")

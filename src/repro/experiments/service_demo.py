@@ -12,15 +12,16 @@ server-measured latency percentiles become the result table.
 Unlike the figure experiments, the numbers here depend on arrival
 interleaving between the asyncio thread and the engine thread, so this
 experiment is *not* golden-diffed and registers as an indivisible cell
-(``SweepSpec(None)``): it demonstrates and smoke-checks the serving
-stack rather than reproducing a paper figure.
+(an :class:`~repro.experiments.registry.Experiment` with no axis): it
+demonstrates and smoke-checks the serving stack rather than reproducing
+a paper figure.
 """
 
 from __future__ import annotations
 
 import asyncio
 from math import inf
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.base import SeriesResult, log, scaled_count
 from repro.service.client import run_load
@@ -74,7 +75,6 @@ def run(
     scale: float = 1.0,
     seed: int = 1,
     tenants: Sequence[str] = TENANTS,
-    verbose: bool = False,
 ) -> SeriesResult:
     """One mixed burst per tenant against a live RAID-1 service."""
     requests = scaled_count(BASE_REQUESTS, scale, minimum=20)
@@ -96,9 +96,8 @@ def run(
         result.add_point("p95_ms", r["p95_ms"])
         result.add_point("p99_ms", r["p99_ms"])
         log(
-            verbose,
             f"service_demo {tenant}: ok={r['ok']} busy={r['busy']} "
-            f"p50={r['p50_ms']:.2f}ms p99={r['p99_ms']:.2f}ms",
+            f"p50={r['p50_ms']:.2f}ms p99={r['p99_ms']:.2f}ms"
         )
     result.notes.append(
         "latencies are server-measured simulated ms; BUSY counts are "
@@ -106,14 +105,3 @@ def run(
         "this experiment is never golden-diffed)"
     )
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    result = run(scale=parse_scale(argv, 1.0), verbose=True)
-    print(result.to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

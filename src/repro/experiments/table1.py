@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from repro.config import ultrastar_36z15_config, ReadAheadKind
 from repro.experiments.base import SeriesResult
 
@@ -25,11 +23,12 @@ def run(scale: float = 1.0, seed: int = 1) -> SeriesResult:
     return result
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    config = ultrastar_36z15_config(readahead=ReadAheadKind.FILE_ORIENTED)
-    print("== table1: Main parameters and their default values ==")
-    print(config.describe())
+def render(result: SeriesResult) -> str:
+    """The title line, then the ``describe()`` rows verbatim.
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    The rows carry their own values, so the generic series table would
+    only append a column of NaN placeholders.
+    """
+    lines = [f"== {result.exp_id}: {result.title} =="]
+    lines += [str(row) for row in result.x_values]
+    return "\n".join(lines)

@@ -35,7 +35,6 @@ def run(
     scale: float = 0.05,
     seed: int = 1,
     hdc_bytes: int = 2 * MB,
-    verbose: bool = False,
     servers: Optional[Sequence[str]] = None,
 ) -> SeriesResult:
     """Throughput improvements (fraction) per server at its best unit."""
@@ -55,7 +54,7 @@ def run(
             seed=seed,
         )
         baseline = runner.run(config, SEGM)
-        log(verbose, f"table2 {name} Segm: {baseline.io_time_s:.2f}s")
+        log(f"table2 {name} Segm: {baseline.io_time_s:.2f}s")
         for tech in (FOR, SEGM_HDC, FOR_HDC):
             res = runner.run(
                 config, tech, hdc_bytes=hdc_bytes,
@@ -63,20 +62,9 @@ def run(
             )
             result.add_point(tech.label, res.speedup_vs(baseline))
             log(
-                verbose,
                 f"table2 {name} {tech.label}: {res.io_time_s:.2f}s "
-                f"({100 * res.speedup_vs(baseline):.1f}%)",
+                f"({100 * res.speedup_vs(baseline):.1f}%)"
             )
     result.notes.append("values are fractional I/O-time reductions vs Segm")
     result.notes.append("paper: Web .34/.24/.47, Proxy .17/.18/.33, File .12/.10/.21")
     return result
-
-
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
-
-    print(run(scale=parse_scale(argv, 0.05), verbose=True).to_text())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -11,6 +11,11 @@ Point it at any trace ``python -m repro.ingest convert`` produced with
 ``trace_path=``; without one it synthesizes a timed workload (the
 fig03 16-KB-file mix with exponential interarrivals) so the experiment
 is self-contained and CI-runnable.
+
+:func:`render` follows the series table with the techniques ranked by
+delivered mean latency; like the knee tables of scale_sweep and
+hybrid_array it is computed from the merged series, so serial and
+``--jobs N`` output stay byte-identical.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from repro.experiments.runner import TechniqueRunner
 from repro.experiments.techniques import ALL_TECHNIQUES
 from repro.ingest.detect import parse_source, source_meta
 from repro.ingest.remap import AddressRemapper, infer_layout
+from repro.metrics.report import format_table
 from repro.sim.rng import RandomStreams
 from repro.units import KB
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
@@ -78,7 +84,6 @@ def run(
     accel: float = 1.0,
     hdc_kb: int = HDC_KB,
     lazy: bool = False,
-    verbose: bool = False,
 ) -> SeriesResult:
     """Replay one timed trace under each technique in ``techniques``.
 
@@ -142,18 +147,25 @@ def run(
         result.add_point("p95_lat_ms", res.latency_percentile(95))
         result.add_point("cache_hit", res.cache_hit_rate)
         log(
-            verbose,
             f"trace_replay {technique.label}: io={res.io_time_s:.2f}s "
-            f"mean={res.mean_latency_ms:.2f}ms",
+            f"mean={res.mean_latency_ms:.2f}ms"
         )
     return result
 
 
-def main(argv: Optional[Sequence[str]] = None) -> None:
-    from repro.experiments.base import parse_scale
+def latency_ranking(result: SeriesResult) -> str:
+    """Techniques ranked by delivered mean latency, best first."""
+    latencies = result.get("mean_lat_ms")
+    order = sorted(range(len(result.x_values)), key=lambda i: latencies[i])
+    rows = [
+        [rank + 1, result.x_values[i], latencies[i]]
+        for rank, i in enumerate(order)
+    ]
+    return "== trace_replay: techniques by delivered mean latency ==\n" + (
+        format_table(["rank", "technique", "mean_lat_ms"], rows)
+    )
 
-    print(run(scale=parse_scale(argv, 1.0), verbose=True).to_text())
 
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+def render(result: SeriesResult) -> str:
+    """The series table, then :func:`latency_ranking`."""
+    return f"{result.to_text()}\n\n{latency_ranking(result)}"

@@ -19,18 +19,11 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.errors import WorkloadError
 from repro.metrics.report import format_table
+from repro.obs.metrics import nearest_rank
 from repro.workloads.trace import DiskAccess
 
 #: Default cap on block touches fed to the reuse-distance tracker.
 DEFAULT_REUSE_CAP = 500_000
-
-
-def _percentile(ordered: List[float], pct: float) -> float:
-    """Nearest-rank percentile of an already-sorted list."""
-    if not ordered:
-        return 0.0
-    idx = max(0, int(round(pct / 100.0 * len(ordered))) - 1)
-    return ordered[min(idx, len(ordered) - 1)]
 
 
 class _Fenwick:
@@ -237,9 +230,9 @@ def characterize(
         interarrival_ms=(
             {
                 "mean": sum(interarrivals) / len(interarrivals),
-                "p50": _percentile(interarrivals, 50),
-                "p95": _percentile(interarrivals, 95),
-                "p99": _percentile(interarrivals, 99),
+                "p50": nearest_rank(interarrivals, 50),
+                "p95": nearest_rank(interarrivals, 95),
+                "p99": nearest_rank(interarrivals, 99),
             }
             if interarrivals
             else {}
@@ -248,9 +241,9 @@ def characterize(
         reuse_distance=(
             {
                 "mean": sum(distances) / len(distances),
-                "p50": _percentile([float(d) for d in distances], 50),
-                "p95": _percentile([float(d) for d in distances], 95),
-                "p99": _percentile([float(d) for d in distances], 99),
+                "p50": nearest_rank([float(d) for d in distances], 50),
+                "p95": nearest_rank([float(d) for d in distances], 95),
+                "p99": nearest_rank([float(d) for d in distances], 99),
             }
             if distances
             else {}

@@ -10,7 +10,7 @@ from repro.controller.stats import ControllerStats
 from repro.faults.injector import FaultSummary
 from repro.host.streams import ReplayDriver
 from repro.host.system import System
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, nearest_rank
 from repro.obs.timeline import drive_time_in_state
 from repro.units import MS_PER_S
 
@@ -90,9 +90,7 @@ class RunResult:
             if self.latency_histogram is not None:
                 return self.latency_histogram.percentile(percentile)
             return 0.0
-        ordered = sorted(self.record_latencies_ms)
-        idx = max(0, int(round(percentile / 100.0 * len(ordered))) - 1)
-        return ordered[idx]
+        return nearest_rank(sorted(self.record_latencies_ms), percentile)
 
     @property
     def mean_latency_ms(self) -> float:

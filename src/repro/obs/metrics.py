@@ -30,6 +30,19 @@ def default_size_buckets_blocks() -> Tuple[float, ...]:
     return tuple(float(2 ** i) for i in range(13))
 
 
+def nearest_rank(ordered: Sequence[float], percentile: float) -> float:
+    """Exact nearest-rank percentile of an already-sorted sample list.
+
+    The sample at rank ``round(percentile / 100 * n)`` (1-based, at
+    least 1); 0 when the list is empty. :meth:`Histogram.percentile`
+    estimates the same rank from bucket counts.
+    """
+    if not ordered:
+        return 0.0
+    rank = max(1, int(round(percentile / 100.0 * len(ordered))))
+    return ordered[min(rank, len(ordered)) - 1]
+
+
 class Counter:
     """A named monotonically increasing counter."""
 
@@ -105,10 +118,10 @@ class Histogram:
     def percentile(self, percentile: float) -> float:
         """Estimated percentile (0 < percentile <= 100; 0 when empty).
 
-        Matches :meth:`RunResult.latency_percentile`'s nearest-rank
-        convention at bucket granularity: the bucket containing the
-        rank is found, then the value is interpolated linearly between
-        the bucket's bounds. The overflow bucket reports ``max``.
+        Matches :func:`nearest_rank`'s convention at bucket
+        granularity: the bucket containing the rank is found, then the
+        value is interpolated linearly between the bucket's bounds. The
+        overflow bucket reports ``max``.
         """
         if not 0.0 < percentile <= 100.0:
             raise ValueError(f"percentile must be in (0, 100], got {percentile}")

@@ -10,10 +10,9 @@ Three renderers, all byte-stable for a fixed ``(seed, scale)``:
   ``python -m repro.perfkit report`` emits and the golden test diffs.
 * :func:`series_report` — renders any saved
   :class:`~repro.experiments.base.SeriesResult` (``repro-exp <exp>
-  --report out.md``) with per-series sparklines, plus an
-  experiment-specific analysis section via :data:`EXPERIMENT_HOOKS`
-  (knee tables for ``scale_sweep``/``hybrid_array``, a technique
-  ranking for ``trace_replay``).
+  --report out.md``): the experiment's registered ``render`` text
+  (the same bytes the CLI prints, knee tables and rankings included)
+  and per-series sparklines.
 * :func:`markdown_to_html` — a dependency-free subset-of-markdown to
   HTML converter (headings, fenced code, paragraphs) for ``--html``.
 
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import html as _html
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.metrics.ascii_chart import sparkline
 from repro.metrics.report import format_table
@@ -232,39 +231,15 @@ def smoke_report(
 # -- series reports ----------------------------------------------------
 
 
-def _knee_hook(module_name: str) -> Callable:
-    def hook(result) -> str:
-        import importlib
-
-        module = importlib.import_module(module_name)
-        return module.knee_table(result)
-
-    return hook
-
-
-def _trace_replay_hook(result) -> str:
-    """Rank techniques by delivered mean latency (best first)."""
-    latencies = result.get("mean_lat_ms")
-    order = sorted(range(len(result.x_values)), key=lambda i: latencies[i])
-    rows = [
-        [rank + 1, result.x_values[i], latencies[i]]
-        for rank, i in enumerate(order)
-    ]
-    return "== trace_replay: techniques by delivered mean latency ==\n" + (
-        format_table(["rank", "technique", "mean_lat_ms"], rows)
-    )
-
-
-#: Per-experiment analysis sections appended by :func:`series_report`.
-EXPERIMENT_HOOKS: Dict[str, Callable] = {
-    "scale_sweep": _knee_hook("repro.experiments.scale_sweep"),
-    "hybrid_array": _knee_hook("repro.experiments.hybrid_array"),
-    "trace_replay": _trace_replay_hook,
-}
-
-
 def series_report(result, trajectory_path: Optional[str] = None) -> str:
-    """Render a :class:`SeriesResult` as a markdown report page."""
+    """Render a :class:`SeriesResult` as a markdown report page.
+
+    The Series block is the registered experiment's ``render`` text;
+    results of unregistered ids fall back to the plain series table.
+    """
+    from repro.experiments.registry import REGISTRY
+
+    exp = REGISTRY.get(result.exp_id)
     lines = [
         f"# perfkit report — {result.exp_id}",
         "",
@@ -273,14 +248,10 @@ def series_report(result, trajectory_path: Optional[str] = None) -> str:
         "## Series",
         "",
     ]
-    lines += _fence(result.to_text())
+    lines += _fence(exp.render(result) if exp is not None else result.to_text())
     lines += ["## Sparklines", ""]
     rows = [[name, sparkline(result.get(name))] for name in result.series]
     lines += _fence(format_table(["series", "trajectory"], rows))
-    hook = EXPERIMENT_HOOKS.get(result.exp_id)
-    if hook is not None:
-        lines += ["## Experiment analysis", ""]
-        lines += _fence(hook(result))
     if trajectory_path is not None:
         lines += trajectory_section(trajectory_path)
     return "\n".join(lines).rstrip() + "\n"

@@ -25,6 +25,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
+from repro.obs.metrics import nearest_rank
 from repro.service.protocol import (
     ProtocolError,
     Request,
@@ -132,14 +133,6 @@ class ServiceClient:
         )
 
 
-def _percentile(ordered: List[float], p: float) -> float:
-    """Exact nearest-rank percentile over a sorted sample list."""
-    if not ordered:
-        return 0.0
-    rank = max(1, int(round(p / 100.0 * len(ordered))))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 async def run_tenant(
     host: str,
     port: int,
@@ -207,9 +200,9 @@ async def run_tenant(
             "pinned": pinned,
             "wall_s": wall_s,
             "mean_ms": sum(ordered) / len(ordered) if ordered else 0.0,
-            "p50_ms": _percentile(ordered, 50.0),
-            "p95_ms": _percentile(ordered, 95.0),
-            "p99_ms": _percentile(ordered, 99.0),
+            "p50_ms": nearest_rank(ordered, 50.0),
+            "p95_ms": nearest_rank(ordered, 95.0),
+            "p99_ms": nearest_rank(ordered, 99.0),
             "max_queue_ms": max(queue_waits) if queue_waits else 0.0,
         }
     finally:

@@ -1,5 +1,6 @@
 """Experiment plumbing: techniques, runner, series containers, CLI."""
 
+from dataclasses import replace
 
 import pytest
 
@@ -8,9 +9,10 @@ from repro.config import (
     ReadAheadKind,
     ultrastar_36z15_config,
 )
-from repro.experiments.base import SeriesResult, parse_scale, scaled_count
+from repro.experiments import hybrid_array, scale_sweep
+from repro.experiments.base import SeriesResult, first_knee, scaled_count
 from repro.experiments.cli import main as cli_main
-from repro.experiments.registry import EXPERIMENTS, RUNNERS
+from repro.experiments.registry import REGISTRY
 from repro.experiments.runner import TechniqueRunner
 from repro.experiments.techniques import (
     ALL_TECHNIQUES,
@@ -24,6 +26,47 @@ from repro.experiments.techniques import (
 )
 from repro.units import KB, MB
 from repro.workloads.synthetic import SyntheticSpec, SyntheticWorkload
+
+
+#: Invocations the CLI must refuse with exit status 2 before running.
+MALFORMED = [
+    ["fig01", "--scael", "0.2"],
+    ["fig01", "--scale"],
+    ["fig01", "--scale", "abc"],
+    ["fig01", "--jobs", "0"],
+    ["fig01", "--faults", "nope"],
+    ["nope"],
+]
+
+#: Every series a registered ``render`` reads (knee tables, rankings).
+STUB_SERIES = (
+    ["mean_lat_ms"]
+    + [f"p99_ms[{key}]" for key in scale_sweep.TECHNIQUE_KEYS]
+    + [
+        f"{metric}[{key}]@{n}"
+        for metric in ("p99_ms", "mb_s")
+        for key in hybrid_array.TECHNIQUE_KEYS
+        for n in hybrid_array.STREAM_COUNTS
+    ]
+)
+
+
+def stub_run(name):
+    """A fast stand-in for ``REGISTRY[name].run`` that splits by axis
+    exactly like the real driver, so per-cell slices merge back into
+    the whole-sweep result."""
+    exp = REGISTRY[name]
+
+    def run(scale=1.0, seed=1, **axis):
+        xs = list(axis.get(exp.axis, exp.values)) if exp.axis else ["all"]
+        result = SeriesResult(name, f"stub scale={scale}", "x", x_values=xs)
+        for x in xs:
+            y = float(exp.values.index(x) + 1) if exp.axis else 1.0
+            for series in STUB_SERIES:
+                result.add_point(series, y)
+        return result
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -143,11 +186,10 @@ class TestSeriesResult:
         assert scaled_count(1000, 0.5) == 500
         assert scaled_count(10, 0.0001, minimum=3) == 3
 
-    def test_parse_scale(self):
-        assert parse_scale(["--scale", "0.25"], 1.0) == 0.25
-        assert parse_scale([], 0.3) == 0.3
-        assert parse_scale(None, 0.3) == 0.3
-        assert parse_scale(["--scale"], 0.3) == 0.3
+    def test_first_knee(self):
+        assert first_knee([1, 2, 3], [2.0, 19.9, 20.0]) == 3
+        assert first_knee([1, 2, 3], [2.0, 3.0, 4.0]) is None
+        assert first_knee([1, 2], [0.0, 5.0]) is None  # no meaningful base
 
 
 class TestRegistryAndCli:
@@ -159,8 +201,7 @@ class TestRegistryAndCli:
         expected |= {"scale_sweep"}  # client-population scale extension
         expected |= {"service_demo"}  # live block-service extension
         expected |= {"hybrid_array"}  # heterogeneous-array extension
-        assert set(EXPERIMENTS) == expected
-        assert set(RUNNERS) == expected
+        assert set(REGISTRY) == expected
 
     def test_cli_help(self, capsys):
         assert cli_main([]) == 0
@@ -177,6 +218,43 @@ class TestRegistryAndCli:
     def test_cli_runs_validation(self, capsys):
         assert cli_main(["validation", "--scale", "0.2"]) == 0
         assert "error_frac" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+    def test_cli_rejects_malformed_invocations(self, argv, monkeypatch, capsys):
+        def must_not_run(**kwargs):
+            raise AssertionError("a malformed invocation ran the experiment")
+
+        monkeypatch.setitem(
+            REGISTRY, "fig01", replace(REGISTRY["fig01"], run=must_not_run)
+        )
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ")
+
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_serial_and_parallel_print_the_render(self, name, monkeypatch, capsys):
+        run = stub_run(name)
+        monkeypatch.setitem(REGISTRY, name, replace(REGISTRY[name], run=run))
+        assert cli_main([name, "--scale", "0.5"]) == 0
+        serial = capsys.readouterr().out
+        assert cli_main([name, "--scale", "0.5", "--jobs", "1", "--no-cache"]) == 0
+        parallel = capsys.readouterr().out
+        assert serial == parallel == REGISTRY[name].render(run(scale=0.5)) + "\n"
+
+    @pytest.mark.parametrize(
+        "name", ["table1", "trace_replay", "scale_sweep", "hybrid_array"]
+    )
+    def test_render_overrides_survive_the_parallel_path(self, name, capsys):
+        """The experiments with their own ``render`` print the same bytes
+        serially and through the worker pool (knee tables and table1's
+        rows included)."""
+        argv = [name, "--scale", "0.001"]
+        assert cli_main(argv) == 0
+        serial = capsys.readouterr().out
+        assert cli_main(argv + ["--jobs", "2", "--no-cache"]) == 0
+        assert capsys.readouterr().out == serial
+        assert "nan" not in serial
 
     def test_cli_report_flag_writes_perfkit_page(self, tmp_path, capsys):
         out = tmp_path / "fig01.md"

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from repro.experiments import trace_replay
 from repro.experiments.base import SeriesResult
 from repro.perfkit.__main__ import main as perfkit_main
 from repro.perfkit.report import (
@@ -56,9 +57,12 @@ def test_series_report_renders_sparklines_and_hook():
     md = series_report(result)
     assert "# perfkit report — trace_replay" in md
     assert "## Sparklines" in md
-    # the trace_replay hook ranks FOR (3.0ms) above Segm (5.0ms)
-    analysis = md.split("## Experiment analysis")[1]
-    assert analysis.index("FOR") < analysis.index("Segm")
+    # the Series block is trace_replay's registered render: the table,
+    # then the ranking of FOR (3.0ms) above Segm (5.0ms)
+    series = md.split("## Series")[1].split("## Sparklines")[0]
+    assert trace_replay.render(result) in series
+    ranking = series.split("techniques by delivered mean latency")[1]
+    assert ranking.index("FOR") < ranking.index("Segm")
 
 
 def test_series_report_without_hook_omits_analysis():
@@ -66,6 +70,8 @@ def test_series_report_without_hook_omits_analysis():
         exp_id="figZZ", title="t", x_label="x", x_values=[1], series={"y": [2.0]}
     )
     md = series_report(result)
+    # an unregistered id has no render of its own: the plain table
+    assert f"```text\n{result.to_text()}\n```" in md
     assert "## Experiment analysis" not in md
 
 
