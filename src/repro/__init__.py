@@ -109,12 +109,9 @@ from repro.obs import (
 )
 from repro.perfkit import (
     AttributionReport,
-    GatePolicy,
     PhaseDetector,
-    TrajectoryStore,
     attribute_shift,
     detect_phases,
-    gate,
     summarize_run,
 )
 from repro.service.qos import QoSPolicy
@@ -261,8 +258,5 @@ __all__ = [
     "AttributionReport",
     "summarize_run",
     "attribute_shift",
-    "TrajectoryStore",
-    "GatePolicy",
-    "gate",
     "__version__",
 ]

@@ -79,7 +79,7 @@ def _experiment_id(text: str) -> str:
     return text
 
 
-def _positive(kind: type) -> Callable[[str], float]:
+def positive(kind: type) -> Callable[[str], float]:
     """argparse type: a finite number of ``kind`` greater than zero."""
 
     def parse(text: str) -> float:
@@ -107,11 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", type=_experiment_id, help="experiment id, or 'all'")
     parser.add_argument(
-        "--scale", type=_positive(float), help="workload scale (default: the driver's)"
+        "--scale", type=positive(float), help="workload scale (default: the driver's)"
     )
     parser.add_argument("--chart", action="store_true", help="append an ASCII chart")
     parser.add_argument(
-        "--jobs", type=_positive(int), metavar="N", help="parallel sweep over N workers"
+        "--jobs", type=positive(int), metavar="N", help="parallel sweep over N workers"
     )
     parser.add_argument(
         "--cache-dir", metavar="DIR",
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-out", metavar="PATH", help="trace file (.jsonl for JSONL; implies --trace)"
     )
     parser.add_argument(
-        "--trace-limit", type=_positive(int), metavar="N",
+        "--trace-limit", type=positive(int), metavar="N",
         help="cap recorded trace events (implies --trace)",
     )
     return parser

@@ -48,7 +48,8 @@ class OpenLoopDriver(ReplayDriver):
         # consumes the first record for the lookahead, and partially
         # draining a lazy iterator the caller may retry with (after
         # fixing a bad accel) would silently drop that record.
-        if accel <= 0:
+        # ``not accel > 0`` also rejects NaN.
+        if not accel > 0:
             raise WorkloadError(f"accel must be positive, got {accel}")
         super().__init__(
             system,

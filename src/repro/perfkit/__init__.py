@@ -12,12 +12,12 @@ reports through:
   (seek/rotation/transfer/overhead/queue/cache) and rank which
   component explains a latency or throughput shift, whole-run and
   per phase;
-* :mod:`repro.perfkit.trajectory` — a versioned ``BENCH_*`` trajectory
-  store unifying the ``bench_sim``/``bench_hotpath`` schemas, with a
-  noise-aware regression gate (the CI ``perf-gate`` job);
 * :mod:`repro.perfkit.report` — single-page markdown (optionally
   HTML) reports: phase table, technique table, attribution ranking,
-  trajectory sparklines. ``python -m repro.perfkit`` is the CLI.
+  per-series sparklines. ``python -m repro.perfkit`` is the CLI.
+
+Simulator speed and per-record work are measured by the end-to-end
+benchmark (``python3 -m benchmarks.e2e``), not here.
 
 Perfkit is a *consumer* of the obs/metrics surfaces and the
 experiments registry; it never reaches into controller/disk/array
@@ -32,15 +32,6 @@ from repro.perfkit.attribute import (
     summarize_run,
 )
 from repro.perfkit.phases import Phase, PhaseDetector, detect_phases
-from repro.perfkit.trajectory import (
-    GatePolicy,
-    GateReport,
-    TrajectoryRun,
-    TrajectoryStore,
-    gate,
-    run_from_bench_hotpath,
-    run_from_bench_sim,
-)
 
 __all__ = [
     "Phase",
@@ -51,11 +42,4 @@ __all__ = [
     "AttributionReport",
     "summarize_run",
     "attribute_shift",
-    "TrajectoryRun",
-    "TrajectoryStore",
-    "GatePolicy",
-    "GateReport",
-    "gate",
-    "run_from_bench_sim",
-    "run_from_bench_hotpath",
 ]

@@ -3,53 +3,39 @@
 Commands:
 
 * ``report`` — render the fixed-seed smoke-sweep report (markdown; or
-  HTML with ``--html``). Byte-stable for a given ``--seed``/``--scale``
-  and trajectory file, which the golden test relies on.
-* ``gate`` — adapt a fresh ``BENCH_*.json`` into the trajectory
-  schema, compare it against the committed history under the
-  noise-aware policy, optionally append-and-save (``--append``) and
-  write a markdown gate report (``--report PATH``). Exit 1 on
-  regression: this is the CI ``perf-gate`` job's teeth.
+  HTML with ``--html``). Byte-stable for a given ``--seed``/``--scale``,
+  which the golden test relies on.
 * ``phases`` — phase-detect the smoke workload and print the table
   (a quick detector sanity check without running the simulator).
 
-Argument parsing is strict argparse: an unknown flag or a flag with a
-missing value exits 2 with a usage message instead of being silently
-ignored — a misconfigured CI invocation must fail loudly, never pass
-vacuously.
+Argument parsing is strict argparse: an unknown flag, a flag with a
+missing value, or a ``--scale`` that is not a positive finite number
+exits 2 with a usage message instead of being silently ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
+from repro.experiments.cli import positive
 from repro.perfkit.phases import detect_phases, phase_table
 from repro.perfkit.report import (
-    DEFAULT_TRAJECTORY,
     SMOKE_SEED,
     SMOKE_WINDOW,
     markdown_to_html,
     smoke_report,
     smoke_workload,
 )
-from repro.perfkit.trajectory import (
-    BENCH_ADAPTERS,
-    GatePolicy,
-    TrajectoryStore,
-    gate,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perfkit",
-        description="performance analytics: reports, phase detection, "
-        "and the benchmark regression gate",
+        description="performance analytics: reports and phase detection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -57,42 +43,21 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render the fixed-seed smoke-sweep report"
     )
     report.add_argument("--seed", type=int, default=SMOKE_SEED)
-    report.add_argument("--scale", type=float, default=1.0)
-    report.add_argument("--trajectory", default=DEFAULT_TRAJECTORY)
+    report.add_argument("--scale", type=positive(float), default=1.0)
     report.add_argument("--out", default=None, help="write here instead of stdout")
     report.add_argument("--html", action="store_true")
-
-    gate_p = sub.add_parser(
-        "gate", help="gate a fresh BENCH_*.json against the trajectory"
-    )
-    gate_p.add_argument(
-        "--bench", required=True, choices=sorted(BENCH_ADAPTERS)
-    )
-    gate_p.add_argument("--input", required=True, help="fresh BENCH_*.json path")
-    gate_p.add_argument("--trajectory", default=DEFAULT_TRAJECTORY)
-    gate_p.add_argument(
-        "--append", action="store_true",
-        help="append the run to the trajectory when the gate passes",
-    )
-    gate_p.add_argument("--label", default="")
-    gate_p.add_argument(
-        "--report", dest="report_out", default=None,
-        help="also write the gate verdict as markdown here",
-    )
 
     phases = sub.add_parser(
         "phases", help="phase-detect the smoke workload and print the table"
     )
     phases.add_argument("--seed", type=int, default=SMOKE_SEED)
-    phases.add_argument("--scale", type=float, default=1.0)
+    phases.add_argument("--scale", type=positive(float), default=1.0)
     phases.add_argument("--window", type=int, default=SMOKE_WINDOW)
     return parser
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    text = smoke_report(
-        scale=args.scale, seed=args.seed, trajectory_path=args.trajectory
-    )
+    text = smoke_report(scale=args.scale, seed=args.seed)
     if args.html:
         text = markdown_to_html(text)
     if args.out is not None:
@@ -101,35 +66,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     else:
         print(text, end="")
     return 0
-
-
-def _cmd_gate(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.input).read_text(encoding="utf-8"))
-    run = BENCH_ADAPTERS[args.bench](data, label=args.label)
-    store = TrajectoryStore(args.trajectory)
-    report = gate(run, store.runs(args.bench), GatePolicy())
-    print(report.to_text())
-    if args.report_out is not None:
-        md = (
-            f"# perf-gate — bench `{args.bench}`\n\n"
-            f"```text\n{report.to_text()}\n```\n"
-        )
-        Path(args.report_out).write_text(md, encoding="utf-8")
-        print(f"gate report -> {args.report_out}", file=sys.stderr)
-    if args.append:
-        if report.passed:
-            store.append(run)
-            store.save()
-            print(
-                f"appended run {run.run_id} to {args.trajectory}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "regression detected: not appending to the trajectory",
-                file=sys.stderr,
-            )
-    return 0 if report.passed else 1
 
 
 def _cmd_phases(args: argparse.Namespace) -> int:
@@ -149,14 +85,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         namespace = parser.parse_args(args)
     except SystemExit as exc:  # argparse already printed the diagnosis
         return int(exc.code or 0)
-    handlers = {
-        "report": _cmd_report,
-        "gate": _cmd_gate,
-        "phases": _cmd_phases,
-    }
+    handlers = {"report": _cmd_report, "phases": _cmd_phases}
     try:
         return handlers[namespace.command](namespace)
-    except (ReproError, OSError, json.JSONDecodeError) as exc:
+    except (ReproError, OSError) as exc:
         print(f"perfkit: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,13 @@
-"""Single-page markdown reports over phases, attribution, trajectory.
+"""Single-page markdown reports over phases and attribution.
 
 Three renderers, all byte-stable for a fixed ``(seed, scale)``:
 
 * :func:`smoke_report` — runs the built-in two-phase smoke sweep
   (below) under a base and a comparison technique with a tracer
   installed, and renders phase table, technique comparison,
-  whole-run attribution ranking, per-phase media attribution, and the
-  committed benchmark trajectory as sparklines. This is the report
-  ``python -m repro.perfkit report`` emits and the golden test diffs.
+  whole-run attribution ranking and per-phase media attribution. This
+  is the report ``python -m repro.perfkit report`` emits and the
+  golden test diffs.
 * :func:`series_report` — renders any saved
   :class:`~repro.experiments.base.SeriesResult` (``repro-exp <exp>
   --report out.md``): the experiment's registered ``render`` text
@@ -27,8 +27,7 @@ phase table shows one (or five) phases is itself a regression signal.
 from __future__ import annotations
 
 import html as _html
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.metrics.ascii_chart import sparkline
 from repro.metrics.report import format_table
@@ -39,10 +38,6 @@ from repro.perfkit.attribute import (
     summarize_run,
 )
 from repro.perfkit.phases import detect_phases, phase_table
-from repro.perfkit.trajectory import TrajectoryStore
-
-#: Default committed trajectory consulted by reports and the CLI.
-DEFAULT_TRAJECTORY = "benchmarks/BENCH_trajectory.json"
 
 #: Smoke-sweep defaults: seed, record count at scale 1, phase window.
 SMOKE_SEED = 31
@@ -114,51 +109,7 @@ def _fence(text: str) -> List[str]:
     return ["```text", text, "```", ""]
 
 
-def trajectory_section(path) -> List[str]:
-    """Markdown lines for the trajectory sparklines section."""
-    lines = ["## Benchmark trajectory", ""]
-    store_path = Path(path)
-    if not store_path.exists():
-        lines.append(f"(no trajectory at `{store_path.name}` — run the "
-                     "perf-gate to seed one)")
-        lines.append("")
-        return lines
-    store = TrajectoryStore(store_path)
-    for bench in store.benches:
-        n_runs = len(store.runs(bench))
-        lines.append(f"### bench `{bench}` ({n_runs} run(s))")
-        lines.append("")
-        rows = []
-        for metric in store.metric_names(bench):
-            history = store.history(bench, metric)
-            point = None
-            for run in reversed(store.runs(bench)):
-                if metric in run.metrics:
-                    point = run.metrics[metric]
-                    break
-            assert point is not None
-            rows.append(
-                [
-                    metric,
-                    sparkline(history),
-                    f"{point.value:g}",
-                    point.unit,
-                    "higher" if point.higher_is_better else "lower",
-                ]
-            )
-        lines += _fence(
-            format_table(
-                ["metric", "trajectory", "latest", "unit", "better"], rows
-            )
-        )
-    return lines
-
-
-def smoke_report(
-    scale: float = 1.0,
-    seed: int = SMOKE_SEED,
-    trajectory_path=DEFAULT_TRAJECTORY,
-) -> str:
+def smoke_report(scale: float = 1.0, seed: int = SMOKE_SEED) -> str:
     """Render the fixed-seed smoke-sweep report as markdown."""
     from repro.config import ultrastar_36z15_config
     from repro.experiments.runner import TechniqueRunner
@@ -224,14 +175,13 @@ def smoke_report(
             new_label=new.label,
         )
     )
-    lines += trajectory_section(trajectory_path)
     return "\n".join(lines).rstrip() + "\n"
 
 
 # -- series reports ----------------------------------------------------
 
 
-def series_report(result, trajectory_path: Optional[str] = None) -> str:
+def series_report(result) -> str:
     """Render a :class:`SeriesResult` as a markdown report page.
 
     The Series block is the registered experiment's ``render`` text;
@@ -252,8 +202,6 @@ def series_report(result, trajectory_path: Optional[str] = None) -> str:
     lines += ["## Sparklines", ""]
     rows = [[name, sparkline(result.get(name))] for name in result.series]
     lines += _fence(format_table(["series", "trajectory"], rows))
-    if trajectory_path is not None:
-        lines += trajectory_section(trajectory_path)
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.experiments import (
+    ext_frag,
     fig01,
     fig02,
     fig03,
@@ -13,6 +14,8 @@ from repro.experiments import (
     fig06,
     fig07,
     fig08,
+    fig09,
+    fig11,
     table1,
     table2,
     validation,
@@ -59,6 +62,9 @@ class TestFig04:
         for_series = result.get("FOR")
         assert for_series[0] < 0.9
         assert for_series[1] <= for_series[0] + 0.05
+        # and FOR still wins at 1024 streams
+        result = fig04.run(scale=0.05, stream_counts=(64, 256, 1024))
+        assert all(v < 1.0 for v in result.get("FOR"))
 
 
 class TestFig05:
@@ -97,6 +103,15 @@ class TestServerFigures:
         hits = result.get("hdc_hit_rate")
         assert hits[1] >= hits[0]
 
+    def test_fig09_for_beats_segm_on_proxy(self):
+        # below this scale the proxy trace is too short for FOR to win
+        result = fig09.run(scale=0.012, units_kb=(64,))
+        assert result.get("FOR")[0] < result.get("Segm")[0]
+
+    def test_fig11_for_beats_segm_on_file_server(self):
+        result = fig11.run(scale=0.003, units_kb=(128,))
+        assert result.get("FOR")[0] < result.get("Segm")[0]
+
     def test_fig08_infeasible_points_are_nan_not_crash(self):
         # 3.75 MB HDC + FOR bitmap exceeds the 4-MB cache.
         result = fig08.run(scale=0.003, hdc_sizes_kb=(3840,))
@@ -116,3 +131,17 @@ class TestTables:
     def test_validation_experiment(self):
         result = validation.run(scale=0.3)
         assert all(e < 0.1 for e in result.get("error_frac"))
+        # at full scale, within the paper's tolerances (8% reads, 3% writes)
+        result = validation.run(scale=1.0)
+        assert all(e < 0.08 for e in result.get("error_frac"))
+
+
+class TestExtFrag:
+    def test_for_gains_hold_and_blind_pollution_grows(self):
+        result = ext_frag.run(scale=0.08, frag_points=(0.0, 0.1, 0.2))
+        gains = result.get("FOR_gain")
+        # §4: FOR's benefit must not shrink as fragmentation grows
+        assert gains[-1] >= gains[0] - 0.05
+        # blind read-ahead pollutes more on fragmented layouts
+        pollution = result.get("useless_RA_blind")
+        assert pollution[-1] > pollution[0]

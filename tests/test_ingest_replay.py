@@ -1,5 +1,7 @@
 """Open-loop replay: timestamp-driven admission, accel, determinism."""
 
+import math
+
 import pytest
 
 from repro.errors import WorkloadError
@@ -34,10 +36,11 @@ class TestOpenLoopDriver:
         with pytest.raises(WorkloadError, match="empty timed trace"):
             OpenLoopDriver(system, trace)
 
-    def test_rejects_nonpositive_accel(self, small_config):
+    @pytest.mark.parametrize("accel", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_accel(self, small_config, accel):
         system = System(small_config)
         with pytest.raises(WorkloadError, match="accel"):
-            OpenLoopDriver(system, timed_trace(), accel=0.0)
+            OpenLoopDriver(system, timed_trace(), accel=accel)
 
     def test_completes_every_record(self, small_config):
         system = System(small_config)
