@@ -31,10 +31,10 @@ from repro.units import KB, MB, mb_per_s_to_bytes_per_ms, rpm_to_rotation_ms
 class DeviceKind(str, Enum):
     """Storage-media technology of one array slot.
 
-    The kind selects which registered device model
-    (:mod:`repro.devices`) services the slot's media operations:
-    mechanical seek/rotation/transfer for :attr:`HDD`, flat-latency
-    multi-channel flash for :attr:`SSD`.
+    The kind selects which device model (:mod:`repro.devices`)
+    :class:`~repro.host.system.System` builds to service the slot's
+    media operations: mechanical seek/rotation/transfer for
+    :attr:`HDD`, flat-latency multi-channel flash for :attr:`SSD`.
     """
 
     HDD = "hdd"
@@ -235,9 +235,9 @@ class DeviceSpec:
     """One named device type an array slot can be populated with.
 
     Exactly one of ``hdd``/``ssd`` is set, matching ``kind``. The spec
-    is what the device registry (:mod:`repro.devices`) consumes to
-    build the slot's service-time model; :data:`DEVICE_PRESETS` holds
-    the named catalogue (``ultrastar_36z15``, ``generic_ssd``,
+    is what :class:`~repro.host.system.System` consumes to build the
+    slot's device model (:mod:`repro.devices`); :data:`DEVICE_PRESETS`
+    holds the named catalogue (``ultrastar_36z15``, ``generic_ssd``,
     ``generic_nvme``).
     """
 
@@ -463,6 +463,17 @@ class SimConfig:
         if self.faults is not None:
             self.faults.validate()
         self.retry.validate()
+        for name, value, kind in (
+            ("readahead", self.readahead, ReadAheadKind),
+            ("scheduler", self.scheduler, SchedulerKind),
+            ("cache.organization", self.cache.organization, CacheOrganization),
+            ("cache.segment_policy", self.cache.segment_policy, SegmentPolicy),
+            ("cache.block_policy", self.cache.block_policy, BlockPolicy),
+        ):
+            if not isinstance(value, kind):
+                raise ConfigError(
+                    f"{name} must be a {kind.__name__} member, got {value!r}"
+                )
         if self.anticipatory_wait_ms < 0:
             raise ConfigError("anticipatory wait must be non-negative")
         if self.hdc_bytes < 0:
@@ -530,8 +541,8 @@ class SimConfig:
         """The :class:`DeviceSpec` populating array slot ``slot``.
 
         With no :attr:`devices` list the whole array is built from
-        :attr:`disk`, wrapped as an anonymous mechanical device so the
-        device registry has a uniform surface.
+        :attr:`disk`, wrapped as an anonymous mechanical device so every
+        slot is described the same way.
         """
         if not 0 <= slot < self.array.n_disks:
             raise ConfigError(

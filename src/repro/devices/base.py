@@ -18,9 +18,9 @@ contracts:
   arm, N for flash channels).
 
 :mod:`repro.disk.drive` and :mod:`repro.array` consume devices only
-through this surface (plus the registry) — never the mechanical
-internals in :mod:`repro.mechanics` — which is what makes new device
-technologies drop-in.
+through this surface — never the mechanical internals in
+:mod:`repro.mechanics` — which is what makes new device technologies
+drop-in.
 """
 
 from __future__ import annotations

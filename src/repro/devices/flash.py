@@ -13,19 +13,16 @@ cylinder, so seek distances are 0 and cylinder-sorting schedulers
 (LOOK/SSTF/CSCAN) degrade gracefully to their tie-break order — FIFO —
 without special-casing.
 
-The model is deterministic (no sampled phases); it accepts the slot's
-RNG stream for registry uniformity and never draws from it.
+The model is deterministic (no sampled phases), so it takes no RNG
+stream.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
-from repro.config import DeviceKind, DeviceSpec, SsdParams
-from repro.devices.registry import register_device
-from repro.errors import AddressError, ConfigError
+from repro.config import DeviceKind, SsdParams
+from repro.errors import AddressError
 from repro.mechanics.service import ServiceBreakdown
 
 __all__ = ["FlatGeometry", "FlashServiceModel"]
@@ -104,12 +101,6 @@ class FlashServiceModel:
             transfer_ms=self._transfer_ms(n_blocks),
         )
 
-    def service_time(
-        self, from_block: int, start_block: int, n_blocks: int
-    ) -> float:
-        """Sampled (here: deterministic) media time for one operation."""
-        return self.breakdown(from_block, start_block, n_blocks).total_ms
-
     def expected_service_time(
         self, n_blocks: int, seek_distance: Optional[int] = None
     ) -> float:
@@ -120,14 +111,3 @@ class FlashServiceModel:
             + self._transfer_ms(n_blocks)
         )
 
-
-@register_device(DeviceKind.SSD)
-def _build_ssd(
-    spec: DeviceSpec,
-    block_size: int,
-    rng: Optional[np.random.Generator],
-    deterministic_rotation: bool,
-) -> FlashServiceModel:
-    if spec.ssd is None:
-        raise ConfigError(f"device {spec.name!r} has no flash params")
-    return FlashServiceModel(spec.ssd, block_size)

@@ -41,13 +41,10 @@ class DiskDrive:
         self.disk_id = disk_id
         self.sim = sim
         self.device = device
-        #: Historical name for the per-slot device model, kept so the
-        #: mechanical path reads the same as before the device refactor.
-        self.service_model = device
         self.geometry = device.geometry
         #: Concurrent media operations the device sustains (1 = the
         #: classic serial mechanical loop).
-        self.n_channels = max(1, int(getattr(device, "channels", 1)))
+        self.n_channels = device.channels
         self.head_block = 0
         self.tracer = tracer
         self._track = f"disk{disk_id}"

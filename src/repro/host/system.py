@@ -2,9 +2,11 @@
 
 One :class:`System` owns the event engine, the shared bus, and one
 drive + controller pair per disk, wired according to the configured
-cache organization, read-ahead policy, queue discipline and HDC size.
-This is the single place where configuration turns into objects, so
-experiments and examples construct systems identically.
+device kind, cache organization, read-ahead policy, queue discipline
+and HDC size. This is the single place where configuration turns into
+objects, so experiments and examples construct systems identically:
+each slot's components are picked here straight from the config's
+enums.
 """
 
 from __future__ import annotations
@@ -14,21 +16,41 @@ from typing import List, Optional, Sequence
 from repro.array.array import DiskArray
 from repro.array.striping import StripingLayout
 from repro.bus.scsi import ScsiBus
+from repro.cache.block import BlockCache
 from repro.cache.pinned import PinnedRegion
-from repro.config import ReadAheadKind, SimConfig
+from repro.cache.segment import SegmentCache
+from repro.config import (
+    CacheOrganization,
+    DeviceKind,
+    ReadAheadKind,
+    SchedulerKind,
+    SimConfig,
+)
 from repro.controller.controller import DiskController
+from repro.devices import FlashServiceModel, HddDeviceModel
 from repro.disk.drive import DiskDrive
 from repro.errors import ConfigError
-from repro.devices import make_device_model
 from repro.faults.injector import FaultRuntime
 from repro.faults.plan import FaultPlan
 from repro.faults.profile import active_fault_profile
 from repro.obs.tracer import active_tracer
 from repro.readahead.bitmap import SequentialityBitmap
-from repro.registry import make_cache, make_readahead
-from repro.scheduling.factory import make_scheduler
+from repro.readahead.blind import BlindReadAhead
+from repro.readahead.file_oriented import FileOrientedReadAhead
+from repro.readahead.none import NoReadAhead
+from repro.scheduling.cscan import CScanScheduler
+from repro.scheduling.fcfs import FCFSScheduler
+from repro.scheduling.look import LookScheduler
+from repro.scheduling.sstf import SSTFScheduler
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
+
+_SCHEDULERS = {
+    SchedulerKind.LOOK: LookScheduler,
+    SchedulerKind.FCFS: FCFSScheduler,
+    SchedulerKind.SSTF: SSTFScheduler,
+    SchedulerKind.CSCAN: CScanScheduler,
+}
 
 
 class System:
@@ -69,25 +91,48 @@ class System:
                 )
         self.bitmaps = list(bitmaps) if bitmaps is not None else None
 
+        segment_blocks = config.cache.segment_blocks
         controllers: List[DiskController] = []
         for disk_id in range(config.array.n_disks):
-            # Every slot gets its named rotation stream — deterministic
-            # devices simply never draw from it, so stream creation
-            # order (and with it every committed golden) is unchanged.
-            device = make_device_model(
-                config.device_spec(disk_id),
-                config.block_size,
-                rng=self.streams.stream(f"disk{disk_id}.rotation"),
-                deterministic_rotation=deterministic_rotation,
-            )
+            spec = config.device_spec(disk_id)
+            # Every slot takes its named rotation stream; flash never
+            # draws from it.
+            rotation = self.streams.stream(f"disk{disk_id}.rotation")
+            if spec.kind is DeviceKind.HDD:
+                device = HddDeviceModel(
+                    spec.hdd,
+                    config.block_size,
+                    rng=rotation,
+                    deterministic_rotation=deterministic_rotation,
+                )
+            else:
+                device = FlashServiceModel(spec.ssd, config.block_size)
             drive = DiskDrive(disk_id, self.sim, device, tracer=self.tracer)
-            cache = make_cache(config, disk_id, self.streams)
-            readahead = make_readahead(config, disk_id, self.bitmaps)
+            if config.cache.organization is CacheOrganization.BLOCK:
+                cache = BlockCache(
+                    capacity_blocks=config.effective_cache_blocks,
+                    policy=config.cache.block_policy,
+                )
+            else:
+                cache = SegmentCache(
+                    n_segments=config.effective_segments,
+                    segment_blocks=segment_blocks,
+                    policy=config.cache.segment_policy,
+                    rng=self.streams.stream(f"disk{disk_id}.segcache"),
+                )
+            if config.readahead is ReadAheadKind.FILE_ORIENTED:
+                readahead = FileOrientedReadAhead(
+                    self.bitmaps[disk_id], segment_blocks
+                )
+            elif config.readahead is ReadAheadKind.NONE:
+                readahead = NoReadAhead()
+            else:
+                readahead = BlindReadAhead(segment_blocks)
             controller = DiskController(
                 disk_id=disk_id,
                 sim=self.sim,
                 drive=drive,
-                scheduler=make_scheduler(config.scheduler),
+                scheduler=_SCHEDULERS[config.scheduler](),
                 cache=cache,
                 readahead=readahead,
                 bus=self.bus,

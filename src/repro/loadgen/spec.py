@@ -121,13 +121,13 @@ class ShaperSpec:
 
     def validate(self) -> None:
         """Raise :class:`WorkloadError` on out-of-range parameters."""
-        if self.diurnal_period_ms < 0:
+        if not self.diurnal_period_ms >= 0:
             raise WorkloadError("diurnal_period_ms must be non-negative")
         if self.diurnal_period_ms > 0 and not 0.0 <= self.diurnal_amplitude < 0.95:
             raise WorkloadError(
                 f"diurnal_amplitude must be in [0, 0.95), got {self.diurnal_amplitude}"
             )
-        if self.burst_rate_per_hour < 0:
+        if not self.burst_rate_per_hour >= 0:
             raise WorkloadError("burst_rate_per_hour must be non-negative")
         if self.burst_rate_per_hour > 0:
             if self.burst_magnitude <= 0:

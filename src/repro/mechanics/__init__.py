@@ -3,12 +3,12 @@
 from repro.mechanics.seek import SeekModel, fit_seek_params
 from repro.mechanics.rotation import RotationModel
 from repro.mechanics.transfer import TransferModel
-from repro.mechanics.service import ServiceTimeModel
+from repro.mechanics.service import HddDeviceModel
 
 __all__ = [
     "SeekModel",
     "fit_seek_params",
     "RotationModel",
     "TransferModel",
-    "ServiceTimeModel",
+    "HddDeviceModel",
 ]

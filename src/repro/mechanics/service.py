@@ -1,9 +1,10 @@
 """Combined media service-time model: ``T(r) = seek + rotation + transfer``.
 
 This is the paper's §2.1 formula realised as an object that the disk
-drive queries once per media operation. It also exposes the analytic
-expectation used by the validation experiment and by
-:mod:`repro.analysis.utilization`.
+drive queries once per media operation: :class:`HddDeviceModel`, the
+mechanical implementation of the :class:`~repro.devices.base.DeviceModel`
+contract. It also exposes the analytic expectation used by the
+validation experiment and by :mod:`repro.analysis.utilization`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from repro.config import DiskParams
+from repro.config import DeviceKind, DiskParams
 from repro.geometry.disk_geometry import DiskGeometry
 from repro.mechanics.rotation import RotationModel
 from repro.mechanics.seek import SeekModel
@@ -39,8 +40,12 @@ class ServiceBreakdown(NamedTuple):
         )
 
 
-class ServiceTimeModel:
-    """Per-operation service times for one disk drive."""
+class HddDeviceModel:
+    """Per-operation service times for one mechanical disk drive."""
+
+    kind = DeviceKind.HDD
+    #: A single arm services one media operation at a time.
+    channels = 1
 
     def __init__(
         self,
@@ -65,14 +70,14 @@ class ServiceTimeModel:
         n_blocks: int,
         is_write: bool = False,
     ) -> ServiceBreakdown:
-        """Sampled per-phase service times for one media operation.
+        """Sampled per-phase service times for one media operation:
+        move from ``from_block`` and read/write ``n_blocks`` starting
+        at ``start_block``.
 
-        Samples the rotational latency exactly once, in the same order
-        as :meth:`service_time` always did, so replacing a
-        ``service_time`` call with ``breakdown(...).total_ms`` leaves
-        every random stream untouched. ``is_write`` is part of the
-        device-model contract; mechanical reads and writes cost the
-        same, so it is accepted and ignored here.
+        Samples the rotational latency exactly once per operation.
+        ``is_write`` is part of the device-model contract; mechanical
+        reads and writes cost the same, so it is accepted and ignored
+        here.
         """
         distance = self.geometry.seek_distance(from_block, start_block)
         return ServiceBreakdown(
@@ -82,13 +87,8 @@ class ServiceTimeModel:
             transfer_ms=self.transfer_model.transfer_time(n_blocks, start_block),
         )
 
-    def service_time(self, from_block: int, start_block: int, n_blocks: int) -> float:
-        """Sampled media time to move from ``from_block`` and read/write
-        ``n_blocks`` starting at ``start_block``."""
-        return self.breakdown(from_block, start_block, n_blocks).total_ms
-
     def expected_service_time(self, n_blocks: int, seek_distance: Optional[int] = None) -> float:
-        """Analytic expectation of :meth:`service_time`.
+        """Analytic expectation of ``breakdown(...).total_ms``.
 
         With ``seek_distance=None`` the drive's uniform-random average
         seek is used — this is the closed-form the paper's formula

@@ -5,7 +5,6 @@ from repro.scheduling.fcfs import FCFSScheduler
 from repro.scheduling.look import LookScheduler
 from repro.scheduling.sstf import SSTFScheduler
 from repro.scheduling.cscan import CScanScheduler
-from repro.scheduling.factory import make_scheduler
 
 __all__ = [
     "IOScheduler",
@@ -14,5 +13,4 @@ __all__ = [
     "LookScheduler",
     "SSTFScheduler",
     "CScanScheduler",
-    "make_scheduler",
 ]

@@ -23,7 +23,7 @@ from repro.errors import WorkloadError
 def _rank_weights(n: int, alpha: float) -> np.ndarray:
     if n <= 0:
         raise WorkloadError(f"need a positive population, got {n}")
-    if alpha < 0:
+    if not alpha >= 0:
         raise WorkloadError(f"alpha must be non-negative, got {alpha}")
     ranks = np.arange(1, n + 1, dtype=np.float64)
     return ranks ** (-alpha)

@@ -10,7 +10,7 @@ from repro.controller.controller import DiskController
 from repro.disk.drive import DiskDrive
 from repro.host.streams import ReplayDriver
 from repro.host.system import System
-from repro.mechanics.service import ServiceTimeModel
+from repro.mechanics.service import HddDeviceModel
 from repro.readahead.none import NoReadAhead
 from repro.scheduling.fcfs import FCFSScheduler
 from repro.scheduling.look import LookScheduler
@@ -46,7 +46,7 @@ class TestSchedulerPeek:
 def make_controller(wait_ms):
     sim = Simulator()
     disk = DiskParams(capacity_bytes=64 * MB)
-    service = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
+    service = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
     drive = DiskDrive(0, sim, service)
     controller = DiskController(
         disk_id=0,

@@ -186,13 +186,13 @@ class TestControllerCancelWaitAfterFire:
         from repro.config import BusParams
         from repro.controller.controller import DiskController
         from repro.disk.drive import DiskDrive
-        from repro.mechanics.service import ServiceTimeModel
+        from repro.mechanics.service import HddDeviceModel
         from repro.readahead.none import NoReadAhead
         from repro.scheduling.fcfs import FCFSScheduler
 
         sim = Simulator()
         disk = DiskParams(capacity_bytes=64 * MB)
-        service = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
+        service = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
         drive = DiskDrive(0, sim, service)
         controller = DiskController(
             disk_id=0,

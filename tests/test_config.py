@@ -131,6 +131,24 @@ class TestValidation:
                 hdc_bytes=3584 * KB,
             )
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"readahead": "file_oriented"},
+            {"scheduler": "fcfs"},
+            {"cache": CacheParams(organization="block")},
+            {"cache": CacheParams(segment_policy="fifo")},
+            {"cache": CacheParams(block_policy="lru")},
+        ],
+        ids=["readahead", "scheduler", "organization", "segment_policy", "block_policy"],
+    )
+    def test_enum_field_rejects_its_value_as_a_string(self, changes):
+        """Components are picked by identity against enum members, so a
+        string spelling of a valid value must fail loudly rather than
+        fall through to a default (or skip FOR's bitmap charge)."""
+        with pytest.raises(ConfigError, match="member"):
+            make_config(**changes)
+
     def test_table1_segment_variants(self):
         # Table 1: segments of 128/256/512 KB come as 27/13/6.
         for seg_kb, count in ((128, 27), (256, 13), (512, 6)):

@@ -10,7 +10,7 @@ from repro.controller.commands import DiskCommand
 from repro.controller.controller import DiskController, _contiguous_runs
 from repro.disk.drive import DiskDrive
 from repro.errors import SimulationError
-from repro.mechanics.service import ServiceTimeModel
+from repro.mechanics.service import HddDeviceModel
 from repro.readahead.blind import BlindReadAhead
 from repro.readahead.none import NoReadAhead
 from repro.scheduling.look import LookScheduler
@@ -26,7 +26,7 @@ def make_controller(
 ):
     sim = Simulator()
     disk = DiskParams(capacity_bytes=64 * MB)
-    service = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
+    service = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
     drive = DiskDrive(0, sim, service)
     bus = ScsiBus(sim, BusParams())
     controller = DiskController(

@@ -1,19 +1,16 @@
-"""The device-model layer: registry, HDD equivalence, flash models.
+"""The device-model layer: presets, per-kind assembly, flash models.
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
-* the registry builds the right model per :class:`DeviceKind` and the
-  named presets carry the paper's Table 1 figures;
-* :class:`HddDeviceModel` is *draw-for-draw* identical to the
-  ``ServiceTimeModel`` it replaced (same RNG stream → same breakdowns),
-  which is what keeps the committed goldens byte-stable;
+* :class:`~repro.host.system.System` builds the right model per
+  :class:`DeviceKind` and the named presets carry the paper's Table 1
+  figures;
 * :class:`FlashServiceModel` is flat (address-independent), asymmetric
   (writes cost more than reads) and seekless, and its
   :class:`FlatGeometry` collapses the cylinder space so cylinder-aware
   schedulers degrade to FIFO.
 """
 
-import numpy as np
 import pytest
 
 from repro.config import (
@@ -27,17 +24,10 @@ from repro.config import (
     device_preset,
     ultrastar_36z15_config,
 )
-from repro.devices import (
-    DEVICE_MODELS,
-    FlashServiceModel,
-    FlatGeometry,
-    HddDeviceModel,
-    make_device_model,
-    register_device,
-)
+from repro.devices import FlashServiceModel, FlatGeometry, HddDeviceModel
 from repro.errors import AddressError, ConfigError
-from repro.mechanics.service import ServiceTimeModel
-from repro.units import KB, MB
+from repro.host.system import System
+from repro.units import KB
 
 BLOCK = 4 * KB
 
@@ -91,51 +81,20 @@ def test_preset_shape_validation():
         ).validate()
 
 
-# -- registry -----------------------------------------------------------
+# -- per-kind assembly --------------------------------------------------
 
 
-def test_registry_builds_per_kind():
-    hdd = make_device_model(ULTRASTAR_36Z15, BLOCK, deterministic_rotation=True)
-    ssd = make_device_model(GENERIC_SSD, BLOCK)
-    assert isinstance(hdd, HddDeviceModel) and hdd.kind is DeviceKind.HDD
-    assert isinstance(ssd, FlashServiceModel) and ssd.kind is DeviceKind.SSD
-    assert hdd.channels == 1
-    assert ssd.channels == GENERIC_SSD.ssd.channels
-
-
-def test_registry_rejects_duplicate_registration():
-    assert set(DEVICE_MODELS) == {DeviceKind.HDD, DeviceKind.SSD}
-    with pytest.raises(ConfigError):
-        register_device(DeviceKind.SSD)(lambda *a, **kw: None)
-    assert set(DEVICE_MODELS) == {DeviceKind.HDD, DeviceKind.SSD}
-
-
-# -- HDD differential ---------------------------------------------------
-
-
-def test_hdd_device_model_matches_service_time_model_draw_for_draw():
-    """Same seed → identical phase breakdowns, operation after
-    operation. This equivalence is what keeps the six committed
-    goldens byte-identical across the device-layer refactor."""
-    disk = DiskParams(capacity_bytes=64 * MB)
-    device = HddDeviceModel(disk, BLOCK, rng=np.random.default_rng(7))
-    legacy = ServiceTimeModel(disk, BLOCK, rng=np.random.default_rng(7))
-    rng = np.random.default_rng(99)
-    head = 0
-    for _ in range(200):
-        start = int(rng.integers(0, legacy.geometry.n_blocks - 8))
-        n = int(rng.integers(1, 9))
-        a = legacy.breakdown(head, start, n)
-        b = device.breakdown(head, start, n, is_write=bool(rng.integers(2)))
-        assert a == b  # exact tuple equality, not approx
-        head = start + n - 1
-    assert device.expected_service_time(8) == legacy.expected_service_time(8)
-
-
-def test_hdd_device_model_is_the_service_time_model():
-    """Subclassing (not delegation) is deliberate: the HDD path runs
-    literally the legacy code, so RNG draw order cannot drift."""
-    assert issubclass(HddDeviceModel, ServiceTimeModel)
+def test_system_builds_device_model_per_kind():
+    config = ultrastar_36z15_config().with_(
+        devices=("ultrastar_36z15",) * 4 + ("generic_ssd",) * 4
+    )
+    devices = [c.drive.device for c in System(config).controllers]
+    for hdd in devices[:4]:
+        assert type(hdd) is HddDeviceModel and hdd.kind is DeviceKind.HDD
+        assert hdd.channels == 1
+    for ssd in devices[4:]:
+        assert type(ssd) is FlashServiceModel and ssd.kind is DeviceKind.SSD
+        assert ssd.channels == GENERIC_SSD.ssd.channels == 4
 
 
 # -- flash model --------------------------------------------------------
@@ -247,9 +206,7 @@ def test_ssd_drive_overlaps_operations_up_to_channels():
     hdd = DiskDrive(
         1,
         sim2,
-        make_device_model(
-            device_preset("ultrastar_36z15"), BLOCK, deterministic_rotation=True
-        ),
+        HddDeviceModel(ULTRASTAR_36Z15.hdd, BLOCK, deterministic_rotation=True),
     )
     hdd.execute(0, 8, False, lambda *a: None)
     assert hdd.busy and hdd.n_channels == 1

@@ -6,7 +6,7 @@ from repro.bus.scsi import ScsiBus
 from repro.config import BusParams, DiskParams
 from repro.disk.drive import DiskDrive
 from repro.errors import SimulationError
-from repro.mechanics.service import ServiceTimeModel
+from repro.mechanics.service import HddDeviceModel
 from repro.sim.engine import Simulator
 from repro.units import KB, MB
 
@@ -14,7 +14,7 @@ from repro.units import KB, MB
 def make_drive(sim=None):
     sim = sim or Simulator()
     disk = DiskParams(capacity_bytes=64 * MB)
-    service = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
+    service = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
     return sim, DiskDrive(0, sim, service)
 
 

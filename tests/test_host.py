@@ -5,14 +5,34 @@ import pytest
 from repro.config import (
     CacheOrganization,
     ReadAheadKind,
+    SchedulerKind,
 )
 from repro.errors import ConfigError, WorkloadError
 from repro.fs.bitmap_builder import build_bitmaps
 from repro.fs.layout import FileSystemLayout
 from repro.host.streams import ReplayDriver
 from repro.host.system import System
+from repro.readahead.blind import BlindReadAhead
+from repro.readahead.file_oriented import FileOrientedReadAhead
+from repro.readahead.none import NoReadAhead
+from repro.scheduling.cscan import CScanScheduler
+from repro.scheduling.fcfs import FCFSScheduler
+from repro.scheduling.look import LookScheduler
+from repro.scheduling.sstf import SSTFScheduler
 from repro.units import KB
 from repro.workloads.trace import DiskAccess, Trace, TraceMeta
+
+READAHEAD_CLASSES = {
+    ReadAheadKind.BLIND: BlindReadAhead,
+    ReadAheadKind.NONE: NoReadAhead,
+    ReadAheadKind.FILE_ORIENTED: FileOrientedReadAhead,
+}
+SCHEDULER_CLASSES = {
+    SchedulerKind.LOOK: LookScheduler,
+    SchedulerKind.FCFS: FCFSScheduler,
+    SchedulerKind.SSTF: SSTFScheduler,
+    SchedulerKind.CSCAN: CScanScheduler,
+}
 
 
 def make_trace(records, n_streams=4, coalesce=1.0):
@@ -55,6 +75,22 @@ class TestSystem:
         with pytest.raises(ConfigError):
             System(config, bitmaps=[SequentialityBitmap(8)])
 
+    @pytest.mark.parametrize("scheduler", list(SchedulerKind))
+    @pytest.mark.parametrize("readahead", list(ReadAheadKind))
+    def test_builds_configured_readahead_and_scheduler(
+        self, small_config, readahead, scheduler
+    ):
+        config = small_config.with_(readahead=readahead, scheduler=scheduler)
+        bitmaps = None
+        if readahead is ReadAheadKind.FILE_ORIENTED:
+            layout = FileSystemLayout.build([2] * 20, 4000)
+            bitmaps = build_bitmaps(layout, System(small_config).striping)
+        controller = System(config, bitmaps=bitmaps).controllers[1]
+        assert type(controller.readahead) is READAHEAD_CLASSES[readahead]
+        assert type(controller.scheduler) is SCHEDULER_CLASSES[scheduler]
+        if bitmaps is not None:
+            assert controller.readahead.bitmap is bitmaps[1]
+
     def test_hdc_region_sized_from_config(self, small_config):
         config = small_config.with_(hdc_bytes=32 * KB)
         system = System(config)
@@ -63,8 +99,8 @@ class TestSystem:
     def test_identical_seeds_identical_rotation_streams(self, small_config):
         a = System(small_config)
         b = System(small_config)
-        ra = a.controllers[0].drive.service_model.rotation_model.latency()
-        rb = b.controllers[0].drive.service_model.rotation_model.latency()
+        ra = a.controllers[0].drive.device.rotation_model.latency()
+        rb = b.controllers[0].drive.device.rotation_model.latency()
         assert ra == rb
 
 

@@ -101,26 +101,26 @@ def test_checker_flags_service_device_import(tmp_path, monkeypatch):
 
 
 def test_checker_flags_device_internals_import(tmp_path, monkeypatch):
-    """disk/ and array/ reaching past the device registry (planted
-    mechanics and concrete-model imports) trip rule 9; the registry
+    """disk/ and array/ reaching past the device contract (planted
+    mechanics and concrete-model imports) trip rule 9; the contract
     surface itself stays allowed."""
     checker = load_checker()
     src = tmp_path / "src"
     disk = src / "repro" / "disk"
     disk.mkdir(parents=True)
     (disk / "sneaky.py").write_text(
-        "from repro.mechanics.service import ServiceTimeModel\n"
+        "from repro.mechanics.service import HddDeviceModel\n"
         "from repro.devices.base import DeviceModel\n"  # allowed
     )
     array = src / "repro" / "array"
     array.mkdir(parents=True)
     (array / "sneaky.py").write_text(
         "from repro.devices.flash import FlashServiceModel\n"
-        "from repro.devices import make_device_model\n"  # allowed
+        "from repro.devices import DeviceModel\n"  # allowed
     )
     errors = []
     monkeypatch.setattr(checker, "SRC", src)
-    checker.check_device_registry_surface(errors)
+    checker.check_device_surface(errors)
     assert len(errors) == 2
     assert "repro.mechanics.service" in errors[0]
     assert "repro.devices.flash" in errors[1]

@@ -75,6 +75,14 @@ class TestSpec:
         with pytest.raises(WorkloadError, match="diurnal_amplitude"):
             ShaperSpec(diurnal_period_ms=1000.0, diurnal_amplitude=0.99).validate()
 
+    def test_nan_diurnal_period_rejected(self):
+        with pytest.raises(WorkloadError, match="diurnal_period_ms"):
+            ShaperSpec(diurnal_period_ms=float("nan")).validate()
+
+    def test_nan_burst_rate_rejected(self):
+        with pytest.raises(WorkloadError, match="burst_rate_per_hour"):
+            ShaperSpec(burst_rate_per_hour=float("nan")).validate()
+
 
 class TestRateShaper:
     def test_identity_when_unconfigured(self):

@@ -11,7 +11,7 @@ from repro.errors import ConfigError
 from repro.geometry.disk_geometry import DiskGeometry
 from repro.mechanics.rotation import RotationModel
 from repro.mechanics.seek import SeekModel, fit_seek_params
-from repro.mechanics.service import ServiceTimeModel
+from repro.mechanics.service import HddDeviceModel
 from repro.mechanics.transfer import TransferModel
 from repro.units import KB
 
@@ -144,8 +144,8 @@ class TestTransfer:
 class TestServiceTime:
     def test_components_add_up(self):
         disk = DiskParams()
-        model = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
-        t = model.service_time(from_block=0, start_block=0, n_blocks=32)
+        model = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
+        t = model.breakdown(from_block=0, start_block=0, n_blocks=32).total_ms
         expected = (
             disk.command_overhead_ms
             + 0.0  # same cylinder
@@ -156,12 +156,12 @@ class TestServiceTime:
 
     def test_expected_service_time_uses_average_seek(self):
         disk = DiskParams()
-        model = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
+        model = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
         t = model.expected_service_time(32)
         assert t == pytest.approx(0.1 + 3.4 + 2.0 + 32 * 4096 / 54_000, rel=0.1)
 
     def test_larger_reads_take_longer(self):
-        model = ServiceTimeModel(DiskParams(), 4 * KB, deterministic_rotation=True)
-        t_small = model.service_time(0, 1000, 4)
-        t_large = model.service_time(0, 1000, 32)
+        model = HddDeviceModel(DiskParams(), 4 * KB, deterministic_rotation=True)
+        t_small = model.breakdown(0, 1000, 4).total_ms
+        t_large = model.breakdown(0, 1000, 32).total_ms
         assert t_large > t_small

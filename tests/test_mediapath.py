@@ -26,7 +26,7 @@ from repro.disk.drive import DiskDrive
 from repro.faults.injector import DISK_FAILED, MEDIA_ERROR, FaultInjector
 from repro.faults.plan import DiskFaultPlan
 from repro.faults.profile import RetryPolicy
-from repro.mechanics.service import ServiceTimeModel
+from repro.mechanics.service import HddDeviceModel
 from repro.readahead.none import NoReadAhead
 from repro.scheduling.fcfs import FCFSScheduler
 from repro.sim.engine import Simulator
@@ -36,7 +36,7 @@ from repro.units import KB, MB
 def make_controller(transient_ops=frozenset(), retry=None):
     sim = Simulator()
     disk = DiskParams(capacity_bytes=64 * MB)
-    service = ServiceTimeModel(disk, 4 * KB, deterministic_rotation=True)
+    service = HddDeviceModel(disk, 4 * KB, deterministic_rotation=True)
     drive = DiskDrive(0, sim, service)
     controller = DiskController(
         disk_id=0,

@@ -3,10 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.config import SchedulerKind
-from repro.errors import ConfigError
 from repro.scheduling.cscan import CScanScheduler
-from repro.scheduling.factory import make_scheduler
 from repro.scheduling.fcfs import FCFSScheduler
 from repro.scheduling.look import LookScheduler
 from repro.scheduling.sstf import SSTFScheduler
@@ -21,16 +18,6 @@ def drain(scheduler, head=0):
         order.append(req.cylinder)
         head = req.cylinder
     return order
-
-
-class TestFactory:
-    def test_all_kinds_constructible(self):
-        for kind in SchedulerKind:
-            assert make_scheduler(kind).name == kind.value
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ConfigError):
-            make_scheduler("elevator-of-doom")
 
 
 class TestFCFS:

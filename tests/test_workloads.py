@@ -62,6 +62,8 @@ class TestZipf:
         with pytest.raises(WorkloadError):
             ZipfSampler(10, -0.1)
         with pytest.raises(WorkloadError):
+            ZipfSampler(10, float("nan"))
+        with pytest.raises(WorkloadError):
             ZipfSampler(10, 0.5).sample(-1)
         with pytest.raises(WorkloadError):
             ZipfSampler(10, 0.5).probability(10)

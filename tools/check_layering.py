@@ -33,13 +33,13 @@ Enforced rules (AST-level, no imports executed):
    (``controller``, ``cache``, ``disk``, ``mechanics``, ``scheduling``,
    ``bus``, ...): whatever the wire protocol needs must be reachable
    through the host-layer surface, or it doesn't belong on the wire.
-9. **Devices are reached through the registry** — ``repro.disk`` and
-   ``repro.array`` consume device models only through the registry
-   surface (``repro.devices``, ``repro.devices.base``,
-   ``repro.devices.registry``), never the mechanical internals
-   (``repro.mechanics``, ``repro.geometry``) or a concrete model
-   module (``repro.devices.hdd``, ``repro.devices.flash``) — that
-   boundary is what keeps new device technologies drop-in.
+9. **Devices are reached through the device contract** —
+   ``repro.disk`` and ``repro.array`` consume device models only
+   through the contract surface (``repro.devices``,
+   ``repro.devices.base``), never the mechanical internals
+   (``repro.mechanics``, ``repro.geometry``, home of the HDD model) or
+   a concrete model module (``repro.devices.flash``) — that boundary
+   is what keeps new device technologies drop-in.
 10. **Perfkit is a pure consumer of result surfaces** —
    ``repro.perfkit`` analyzes runs through the obs/metrics surfaces
    and drives them through the experiments facade (plus config,
@@ -225,17 +225,13 @@ def check_service_independence(errors: List[str]) -> None:
 
 #: The only device-model surface ``repro.disk``/``repro.array`` may
 #: import from; the mechanics/geometry internals and the concrete
-#: model modules stay behind the registry.
-DEVICE_SURFACE = (
-    "repro.devices.base",
-    "repro.devices.registry",
-    "repro.devices",
-)
+#: model modules stay behind the device contract.
+DEVICE_SURFACE = ("repro.devices.base", "repro.devices")
 DEVICE_INTERNAL_PREFIXES = ("repro.mechanics", "repro.geometry")
-DEVICE_CONCRETE = {"repro.devices.hdd", "repro.devices.flash"}
+DEVICE_CONCRETE = {"repro.devices.flash"}
 
 
-def check_device_registry_surface(errors: List[str]) -> None:
+def check_device_surface(errors: List[str]) -> None:
     for package in ("disk", "array"):
         for path in sorted((SRC / "repro" / package).glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -243,14 +239,14 @@ def check_device_registry_surface(errors: List[str]) -> None:
                 if module.startswith(DEVICE_INTERNAL_PREFIXES):
                     errors.append(
                         f"{path}: repro.{package} must reach device "
-                        f"models through the registry surface "
+                        f"models through the device contract "
                         f"({', '.join(DEVICE_SURFACE)}), not mechanical "
                         f"internals (imports {module})"
                     )
                 elif module in DEVICE_CONCRETE:
                     errors.append(
                         f"{path}: repro.{package} imports concrete device "
-                        f"module {module}; use the registry surface "
+                        f"module {module}; use the device contract "
                         f"({', '.join(DEVICE_SURFACE)}) instead"
                     )
 
@@ -295,7 +291,7 @@ def main() -> int:
     check_ingest_independence(errors)
     check_loadgen_independence(errors)
     check_service_independence(errors)
-    check_device_registry_surface(errors)
+    check_device_surface(errors)
     check_perfkit_independence(errors)
     if errors:
         print(f"layering check: {len(errors)} violation(s)", file=sys.stderr)
