@@ -1,25 +1,19 @@
-"""Shared cache core: presence map, recency order, victim structures.
+"""Shared cache core: presence map and uniform accounting.
 
 Every controller-side cache policy — the segment-organized cache, FOR's
-block-organized cache, and the HDC pinned region — needs the same three
+block-organized cache, and the HDC pinned region — needs the same two
 ingredients:
 
 * a **presence map** from physical block number to the policy's
   per-block payload (the owning segment, a dirty flag, or plain
-  membership),
-* **O(1)/O(log n) victim and slot maintenance** over that population,
-  and
+  membership), and
 * uniform **statistics and tracer recording** for lookups and
   evictions.
 
 This module provides those ingredients once, so the policies in
 :mod:`repro.cache.block`, :mod:`repro.cache.segment` and
-:mod:`repro.cache.pinned` stay thin: they decide *what* to keep, the
-core does the bookkeeping. The structures here also remove the O(n)
-scans the original policies carried (``min()`` victim selection and
-``list.index``/``list.remove`` slot bookkeeping): victim selection is a
-lazy-deletion heap (:class:`VictimHeap`) and slot lookup is a bisect
-over monotone order keys (:class:`SlotList`).
+:mod:`repro.cache.pinned` stay thin: they decide *what* to keep and
+which victim to drop, the core does the bookkeeping.
 
 Only presence/recency *metadata* is stored, never data — exactly what a
 performance simulator needs.
@@ -27,9 +21,8 @@ performance simulator needs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence
 
 from repro.obs.tracer import NULL_TRACER
 
@@ -143,100 +136,3 @@ class CacheCore:
                     unused=unused,
                     stream=stream,
                 )
-
-
-class VictimHeap:
-    """Lazy-deletion min-heap for O(log n) victim selection.
-
-    Entries are ``(key, order, item)``; stale entries (the item was
-    dropped, or its key has since changed) are skipped at pop time via
-    the caller's validity predicate. ``order`` breaks key ties with the
-    item's arrival order, reproducing the first-in-sequence choice a
-    linear ``min()`` scan over an ordered sequence would make.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[Any, Any, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, key: Any, order: Any, item: Any) -> None:
-        """Add a candidate entry."""
-        heapq.heappush(self._heap, (key, order, item))
-
-    def pop_min(self, is_valid: Callable[[Any, Any], bool]) -> Any:
-        """Pop entries until ``is_valid(item, key)``; return that item.
-
-        Raises ``IndexError`` if no valid entry remains — callers
-        maintain the invariant that every live candidate has a current
-        entry in the heap.
-        """
-        heap = self._heap
-        while heap:
-            key, _order, item = heapq.heappop(heap)
-            if is_valid(item, key):
-                return item
-        raise IndexError("pop_min on exhausted VictimHeap")
-
-
-class SlotList:
-    """A sequence of live items preserving arrival/replacement order.
-
-    Replaces a plain ``list`` whose O(n) ``index``/``remove`` calls
-    dominated segment bookkeeping. Each item is stamped with a monotone
-    ``order_key``; replacement hands the key (and therefore the
-    position) to the successor, so relative order is exactly that of
-    the original append/replace-in-place/remove list discipline while
-    positions are found by bisect in O(log n).
-
-    Items must expose a writable ``order_key`` attribute.
-    """
-
-    __slots__ = ("_items", "_next_key")
-
-    def __init__(self) -> None:
-        self._items: List[Any] = []
-        self._next_key = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: int) -> Any:
-        return self._items[index]
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self._items)
-
-    def _locate(self, item: Any) -> int:
-        """Index of ``item`` by bisecting its order key."""
-        items = self._items
-        key = item.order_key
-        lo, hi = 0, len(items)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if items[mid].order_key < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo >= len(items) or items[lo] is not item:
-            raise ValueError(f"{item!r} not in SlotList")
-        return lo
-
-    def append(self, item: Any) -> None:
-        """Add ``item`` at the end (a fresh, maximal order key)."""
-        item.order_key = self._next_key
-        self._next_key += 1
-        self._items.append(item)
-
-    def replace(self, old: Any, new: Any) -> None:
-        """Put ``new`` exactly where ``old`` was (inherits its key)."""
-        index = self._locate(old)
-        new.order_key = old.order_key
-        self._items[index] = new
-
-    def remove(self, item: Any) -> None:
-        """Drop ``item``; the relative order of the rest is unchanged."""
-        del self._items[self._locate(item)]

@@ -13,16 +13,17 @@ controllers keep one segment per detected sequential stream. Thrashing
 appears exactly when concurrent streams outnumber segments.
 
 Bookkeeping rides on :mod:`repro.cache.core`: the presence map holds
-block → owning segment, segment slots live in a
-:class:`~repro.cache.core.SlotList` (replacement inherits the victim's
-position, reproducing physical slot reuse), and LRU/FIFO victims come
-from a lazy-deletion :class:`~repro.cache.core.VictimHeap` in O(log n)
-instead of a linear ``min()`` scan — ties broken by slot order, exactly
-as the scan over the slot sequence would.
+block → owning segment. The at most ``n_segments`` live segments sit in
+a plain slot list; a replacement takes its victim's position, which
+reproduces physical slot reuse (round-robin cycles over slots). LRU and
+FIFO victims come from one ``min()`` scan over that list by
+``last_touch`` / ``created``, so key ties go to the earlier slot and no
+structure keeps a segment alive after it is dropped.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -30,19 +31,12 @@ import numpy as np
 from repro.config import SegmentPolicy
 from repro.errors import CacheError
 from repro.cache.base import ControllerCache
-from repro.cache.core import SlotList, VictimHeap
 
 
 class _Segment:
-    __slots__ = (
-        "blocks",
-        "accessed",
-        "stream",
-        "last_touch",
-        "created",
-        "order_key",
-        "alive",
-    )
+    # No __eq__: slot bookkeeping (list.index / list.remove) relies on
+    # identity equality.
+    __slots__ = ("blocks", "accessed", "stream", "last_touch", "created")
 
     def __init__(self, blocks: List[int], stream: int, stamp: int):
         self.blocks = blocks
@@ -50,18 +44,10 @@ class _Segment:
         self.stream = stream
         self.last_touch = stamp
         self.created = stamp
-        #: Slot-order key, assigned by the owning :class:`SlotList`.
-        self.order_key = 0
-        #: Cleared on drop so stale heap entries are skipped.
-        self.alive = True
 
 
-def _lru_entry_current(seg: _Segment, touch: int) -> bool:
-    return seg.alive and seg.last_touch == touch
-
-
-def _fifo_entry_current(seg: _Segment, _created: int) -> bool:
-    return seg.alive
+_LAST_TOUCH = attrgetter("last_touch")
+_CREATED = attrgetter("created")
 
 
 class SegmentCache(ControllerCache):
@@ -83,9 +69,8 @@ class SegmentCache(ControllerCache):
         self.segment_blocks = segment_blocks
         self.policy = policy
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self._slots = SlotList()
+        self._slots: List[_Segment] = []
         self._by_stream: Dict[int, _Segment] = {}
-        self._victims = VictimHeap()
         self._clock = 0
         self._rr_next = 0  # round-robin victim pointer
 
@@ -95,15 +80,11 @@ class SegmentCache(ControllerCache):
         self._clock += 1
         stamp = self._clock
         present = self.core.present
-        lru = self.policy is SegmentPolicy.LRU
         for b in blocks:
             seg = present.get(b)
             if seg is not None:
                 seg.accessed.add(b)
-                if seg.last_touch != stamp:
-                    seg.last_touch = stamp
-                    if lru:
-                        self._victims.push(stamp, seg.order_key, seg)
+                seg.last_touch = stamp
 
     # -- fills and replacement ------------------------------------------
 
@@ -133,16 +114,13 @@ class SegmentCache(ControllerCache):
             replaced = self._choose_victim()
             self._drop_segment(replaced)
         seg = _Segment(chunk, stream, self._clock)
+        slots = self._slots
         if replaced is None:
-            self._slots.append(seg)
+            slots.append(seg)
         else:
             # Replace in place: segment slots are physical regions of
             # the cache memory (round-robin cycles over slots).
-            self._slots.replace(replaced, seg)
-        if self.policy is SegmentPolicy.LRU:
-            self._victims.push(seg.last_touch, seg.order_key, seg)
-        elif self.policy is SegmentPolicy.FIFO:
-            self._victims.push(seg.created, seg.order_key, seg)
+            slots[slots.index(replaced)] = seg
         if stream >= 0:
             self._by_stream[stream] = seg
         self.core.present.update(dict.fromkeys(chunk, seg))
@@ -150,10 +128,11 @@ class SegmentCache(ControllerCache):
 
     def _choose_victim(self) -> _Segment:
         slots = self._slots
+        # min() keeps the first of equal keys: ties go to the earlier slot.
         if self.policy is SegmentPolicy.LRU:
-            return self._victims.pop_min(_lru_entry_current)
+            return min(slots, key=_LAST_TOUCH)
         if self.policy is SegmentPolicy.FIFO:
-            return self._victims.pop_min(_fifo_entry_current)
+            return min(slots, key=_CREATED)
         if self.policy is SegmentPolicy.RANDOM:
             return slots[int(self._rng.integers(len(slots)))]
         # round-robin over segment slots
@@ -163,7 +142,6 @@ class SegmentCache(ControllerCache):
 
     def _drop_segment(self, seg: _Segment) -> None:
         """Evict ``seg``'s contents (slot handling is the caller's)."""
-        seg.alive = False
         if seg.stream >= 0 and self._by_stream.get(seg.stream) is seg:
             del self._by_stream[seg.stream]
         present = self.core.present

@@ -46,25 +46,37 @@ def run(
         x_values=list(chosen),
     )
     for name in chosen:
-        build, unit_kb, mult = SERVERS[name]
-        layout, trace = build(scale * mult, seed)
-        runner = TechniqueRunner(layout, trace)
-        config = ultrastar_36z15_config(
-            array=ArrayParams(n_disks=8, striping_unit_bytes=unit_kb * KB),
-            seed=seed,
-        )
-        baseline = runner.run(config, SEGM)
-        log(f"table2 {name} Segm: {baseline.io_time_s:.2f}s")
-        for tech in (FOR, SEGM_HDC, FOR_HDC):
-            res = runner.run(
-                config, tech, hdc_bytes=hdc_bytes,
-                hdc_pin_fraction=scale * mult,
-            )
-            result.add_point(tech.label, res.speedup_vs(baseline))
-            log(
-                f"table2 {name} {tech.label}: {res.io_time_s:.2f}s "
-                f"({100 * res.speedup_vs(baseline):.1f}%)"
-            )
+        _run_server(result, name, scale, seed, hdc_bytes)
     result.notes.append("values are fractional I/O-time reductions vs Segm")
     result.notes.append("paper: Web .34/.24/.47, Proxy .17/.18/.33, File .12/.10/.21")
     return result
+
+
+def _run_server(
+    result: SeriesResult, name: str, scale: float, seed: int, hdc_bytes: int
+) -> None:
+    """Add one server's three points to ``result``.
+
+    A function of its own so that the server's trace, layout, bitmaps,
+    pin plans and run results are released when it returns, before the
+    next server builds: the sweep holds one server at a time.
+    """
+    build, unit_kb, mult = SERVERS[name]
+    layout, trace = build(scale * mult, seed)
+    runner = TechniqueRunner(layout, trace)
+    config = ultrastar_36z15_config(
+        array=ArrayParams(n_disks=8, striping_unit_bytes=unit_kb * KB),
+        seed=seed,
+    )
+    baseline = runner.run(config, SEGM)
+    log(f"table2 {name} Segm: {baseline.io_time_s:.2f}s")
+    for tech in (FOR, SEGM_HDC, FOR_HDC):
+        res = runner.run(
+            config, tech, hdc_bytes=hdc_bytes,
+            hdc_pin_fraction=scale * mult,
+        )
+        result.add_point(tech.label, res.speedup_vs(baseline))
+        log(
+            f"table2 {name} {tech.label}: {res.io_time_s:.2f}s "
+            f"({100 * res.speedup_vs(baseline):.1f}%)"
+        )

@@ -12,11 +12,17 @@ can charge it against its cache.
 
 Storage is a ``numpy`` ``uint8`` array (one byte per block) — we trade
 8x metadata RAM in the *simulator* for fast vectorised construction;
-the simulated overhead accounting still uses the 1-bit figure.
+the simulated overhead accounting still uses the 1-bit figure. The
+array sits on a private anonymous memory map, so only the pages a
+layout actually writes become resident: ``np.zeros`` would ask the
+kernel for transparent huge pages (numpy does for arrays of 4 MiB and
+more, and an 18-GB disk's bitmap is 4.4 MB), and a huge page makes a
+whole 2 MB of a sparse bitmap resident whenever the kernel grants one.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Iterable
 
 import numpy as np
@@ -31,7 +37,9 @@ class SequentialityBitmap:
         if n_blocks <= 0:
             raise AddressError(f"bitmap needs a positive size, got {n_blocks}")
         self.n_blocks = n_blocks
-        self._bits = np.zeros(n_blocks, dtype=np.uint8)
+        self._bits = np.frombuffer(
+            mmap.mmap(-1, n_blocks, flags=mmap.MAP_PRIVATE), dtype=np.uint8
+        )
 
     # -- construction ------------------------------------------------------
 

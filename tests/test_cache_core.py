@@ -1,129 +1,13 @@
-"""The shared cache core's data structures, exercised directly.
+"""The shared cache core's presence map and accounting, exercised directly.
 
-:mod:`repro.cache.core` carries the O(1)/O(log n) machinery every
-cache policy rides on; these tests pin down the structural invariants
-the policies assume — lazy-deletion heap semantics, and the SlotList's
-order-preservation contract (append = end, replace = same position,
-remove = relative order unchanged) that makes heap victim selection
-byte-identical to the old linear ``min()`` scan.
+:mod:`repro.cache.core` keeps the presence map, hit/miss/eviction
+stats and the ``cache.lookup`` / ``cache.evict`` tracer instants that
+every cache policy shares; victim choice is each policy's own and is
+tested with the policy (``test_cache_segment.py``).
 """
 
-import pytest
-
-from repro.cache.core import (
-    CacheCore,
-    CacheStats,
-    SlotList,
-    VictimHeap,
-)
+from repro.cache.core import CacheCore, CacheStats
 from repro.obs.tracer import Tracer
-
-
-class _Item:
-    __slots__ = ("name", "order_key", "alive")
-
-    def __init__(self, name):
-        self.name = name
-        self.order_key = 0
-        self.alive = True
-
-    def __repr__(self):
-        return f"_Item({self.name})"
-
-
-class TestVictimHeap:
-    def test_pop_min_returns_smallest_key(self):
-        heap = VictimHeap()
-        items = {k: _Item(k) for k in "abc"}
-        heap.push(3, 0, items["a"])
-        heap.push(1, 1, items["b"])
-        heap.push(2, 2, items["c"])
-        assert heap.pop_min(lambda item, key: True) is items["b"]
-
-    def test_ties_broken_by_order(self):
-        heap = VictimHeap()
-        first, second = _Item("first"), _Item("second")
-        heap.push(5, 1, second)
-        heap.push(5, 0, first)
-        assert heap.pop_min(lambda item, key: True) is first
-
-    def test_stale_entries_skipped(self):
-        heap = VictimHeap()
-        stale, live = _Item("stale"), _Item("live")
-        stale.alive = False
-        heap.push(1, 0, stale)
-        heap.push(2, 1, live)
-        assert heap.pop_min(lambda item, key: item.alive) is live
-        assert len(heap) == 0
-
-    def test_exhausted_heap_raises(self):
-        heap = VictimHeap()
-        dead = _Item("dead")
-        dead.alive = False
-        heap.push(1, 0, dead)
-        with pytest.raises(IndexError):
-            heap.pop_min(lambda item, key: item.alive)
-
-    def test_key_change_invalidates_old_entry(self):
-        # The lazy-deletion discipline: a touch pushes a NEW entry; the
-        # old one must be rejected via the key the predicate receives.
-        heap = VictimHeap()
-        item = _Item("touched")
-        current_key = 10
-        heap.push(1, 0, item)  # stale: key 1 != current 10
-        heap.push(10, 0, item)
-        got = heap.pop_min(lambda it, key: key == current_key)
-        assert got is item
-
-
-class TestSlotList:
-    def test_append_preserves_arrival_order(self):
-        slots = SlotList()
-        items = [_Item(i) for i in range(4)]
-        for it in items:
-            slots.append(it)
-        assert list(slots) == items
-        assert [slots[i] for i in range(4)] == items
-
-    def test_replace_keeps_position(self):
-        slots = SlotList()
-        a, b, c, d = (_Item(k) for k in "abcd")
-        for it in (a, b, c):
-            slots.append(it)
-        slots.replace(b, d)
-        assert list(slots) == [a, d, c]
-        assert d.order_key == b.order_key
-        # The replacement is findable at the inherited position.
-        e = _Item("e")
-        slots.replace(d, e)
-        assert list(slots) == [a, e, c]
-
-    def test_remove_keeps_relative_order(self):
-        slots = SlotList()
-        items = [_Item(i) for i in range(5)]
-        for it in items:
-            slots.append(it)
-        slots.remove(items[2])
-        assert list(slots) == [items[0], items[1], items[3], items[4]]
-
-    def test_remove_missing_raises(self):
-        slots = SlotList()
-        a = _Item("a")
-        slots.append(a)
-        ghost = _Item("ghost")
-        ghost.order_key = a.order_key  # same key, different identity
-        with pytest.raises(ValueError):
-            slots.remove(ghost)
-
-    def test_append_after_replace_lands_at_end(self):
-        slots = SlotList()
-        a, b, c = (_Item(k) for k in "abc")
-        slots.append(a)
-        slots.append(b)
-        slots.replace(a, c)  # c takes a's (front) position
-        d = _Item("d")
-        slots.append(d)
-        assert list(slots) == [c, b, d]
 
 
 class TestCacheCore:

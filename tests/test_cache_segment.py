@@ -1,9 +1,11 @@
 """Segment-organized controller cache."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.cache.segment import SegmentCache
+from repro.cache.segment import SegmentCache, _Segment
 from repro.config import SegmentPolicy
 from repro.errors import CacheError
 
@@ -52,6 +54,62 @@ def test_lru_victim_is_least_recently_touched(cache):
     cache.fill([300], stream_hint=3)
     assert cache.contains(0)  # refreshed survives
     assert not cache.contains(100)  # stream 1 was the LRU victim
+
+
+def test_lru_tie_evicts_the_earlier_slot(cache):
+    cache.fill([0], stream_hint=0)
+    cache.fill([100], stream_hint=1)
+    cache.fill([200], stream_hint=2)
+    cache.access([200, 100])  # one call: streams 1 and 2 share a stamp
+    cache.access([0])
+    cache.fill([300], stream_hint=3)
+    assert not cache.contains(100)  # stream 1 holds the earlier slot
+    assert cache.contains(200)
+
+
+def test_replacement_takes_its_victims_slot():
+    """Round-robin cycles physical slots, so a replacement segment must
+    sit where its victim sat, after a stream reuse and an LRU eviction:
+    then n_segments round-robin evictions replace every slot once."""
+
+    def survivors(cache, blocks):
+        return [b for b in blocks if cache.contains(b)]
+
+    cache = SegmentCache(3, 2, policy=SegmentPolicy.ROUND_ROBIN)
+    for stream in range(3):
+        cache.fill([10 * stream], stream_hint=stream)
+    cache.fill([11], stream_hint=1)  # stream 1 refills in slot 1
+    for stream in (3, 4, 5):
+        cache.fill([10 * stream], stream_hint=stream)
+    assert survivors(cache, [0, 11, 20, 30, 40, 50]) == [30, 40, 50]
+
+    cache = SegmentCache(3, 2, policy=SegmentPolicy.LRU)
+    for stream in range(3):
+        cache.fill([10 * stream], stream_hint=stream)
+    cache.access([0, 20])
+    cache.fill([30], stream_hint=3)  # LRU victim: stream 1 in slot 1
+    cache.policy = SegmentPolicy.ROUND_ROBIN
+    for stream in (4, 5, 6):
+        cache.fill([10 * stream], stream_hint=stream)
+    assert survivors(cache, [0, 20, 30, 40, 50, 60]) == [40, 50, 60]
+
+
+@pytest.mark.parametrize("policy", [SegmentPolicy.LRU, SegmentPolicy.FIFO])
+def test_dropped_segments_are_freed(policy):
+    """A stream that keeps refilling its segment never needs a victim;
+    no bookkeeping may keep its dropped segments alive."""
+    cache = SegmentCache(3, 4, policy=policy)
+
+    def live_segments():
+        gc.collect()
+        return sum(type(o) is _Segment for o in gc.get_objects())
+
+    before = live_segments()
+    for i in range(10_000):
+        blocks = [4 * i, 4 * i + 1]
+        cache.fill(blocks, stream_hint=0)
+        cache.access(blocks)
+    assert live_segments() - before <= 3
 
 
 def test_stream_reuses_its_own_segment(cache):

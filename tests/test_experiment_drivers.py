@@ -1,6 +1,8 @@
 """Smoke-run every figure driver at tiny scale; check series shapes."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -127,6 +129,33 @@ class TestTables:
         result = table2.run(scale=0.004, servers=("Web",))
         assert result.x_values == ["Web"]
         assert result.get("FOR")[0] > 0  # FOR improves on Segm
+
+    def test_table2_holds_one_server_at_a_time(self, monkeypatch):
+        runners = []
+
+        class Recorded(table2.TechniqueRunner):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runners.append(weakref.ref(self))
+
+        alive_at_build = []
+
+        def wrapped(build):
+            def build_after_check(scale, seed):
+                gc.collect()
+                alive_at_build.append(sum(r() is not None for r in runners))
+                return build(scale, seed)
+
+            return build_after_check
+
+        monkeypatch.setattr(table2, "TechniqueRunner", Recorded)
+        monkeypatch.setattr(table2, "SERVERS", {
+            name: (wrapped(build), unit_kb, mult)
+            for name, (build, unit_kb, mult) in table2.SERVERS.items()
+        })
+        table2.run(scale=0.001)
+        assert len(runners) == 3
+        assert alive_at_build == [0, 0, 0]
 
     def test_validation_experiment(self):
         result = validation.run(scale=0.3)
