@@ -432,12 +432,6 @@ class SimConfig:
     scheduler: SchedulerKind = SchedulerKind.LOOK
     #: Per-disk HDC (pinned) region size; 0 disables HDC.
     hdc_bytes: int = 0
-    #: Charge the FOR sequentiality bitmap against the controller cache.
-    account_bitmap_overhead: bool = True
-    #: Re-check the cache when a queued read is dispatched (beyond the
-    #: paper's arrival-time check). Off by default: the paper's
-    #: controller checks "before queuing a new request" only.
-    dispatch_recheck: bool = False
     #: Anticipatory scheduling window (paper ref. [15]); 0 disables,
     #: matching the paper's plain LOOK controllers.
     anticipatory_wait_ms: float = 0.0
@@ -568,8 +562,6 @@ class SimConfig:
         matching the paper's "Disk-resident bitmap: 546 KBytes".
         """
         if self.readahead is not ReadAheadKind.FILE_ORIENTED:
-            return 0
-        if not self.account_bitmap_overhead:
             return 0
         return -(-self.disk_blocks // 8)
 

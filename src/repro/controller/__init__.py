@@ -1,26 +1,19 @@
-"""The per-disk controller: a staged pipeline behind a slim facade.
+"""The per-disk controller: one :class:`DiskController` per drive.
 
-Stage order (see :mod:`repro.controller.controller` for the wiring):
-``Frontend`` → ``CachePath`` → read-ahead planning → ``MediaPath`` →
-``Completion``.
+It admits host commands, consults the cache and HDC region, sizes
+read-ahead, queues and dispatches media jobs (with anticipation and
+fault handling) and completes each command over the bus; see
+:mod:`repro.controller.controller`.
 """
 
-from repro.controller.cachepath import CachePath
 from repro.controller.commands import DiskCommand
-from repro.controller.completion import Completion
-from repro.controller.controller import DiskController
-from repro.controller.frontend import Frontend, contiguous_runs
-from repro.controller.mediapath import MediaJob, MediaPath
+from repro.controller.controller import DiskController, MediaJob, contiguous_runs
 from repro.controller.stats import ControllerStats
 
 __all__ = [
-    "CachePath",
-    "Completion",
     "ControllerStats",
     "DiskCommand",
     "DiskController",
-    "Frontend",
     "MediaJob",
-    "MediaPath",
     "contiguous_runs",
 ]

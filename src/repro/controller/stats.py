@@ -21,9 +21,6 @@ class ControllerStats:
     media_blocks_written: int = 0
     #: Blocks read from the media beyond what the host asked for.
     readahead_blocks: int = 0
-    #: Queued media reads cancelled because an earlier command's
-    #: read-ahead satisfied them while they waited (dispatch re-check).
-    dispatch_cache_hits: int = 0
     hdc_block_hits: int = 0
     hdc_write_absorbed: int = 0
     flush_commands: int = 0

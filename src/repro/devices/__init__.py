@@ -4,7 +4,7 @@ The package splits into a *surface* and *implementations*:
 
 * surface — :mod:`repro.devices.base` (the :class:`DeviceModel`
   contract). This is all ``disk/`` and ``array/`` are allowed to
-  import (layering rule 9).
+  import (layering rule 7).
 * implementations — :class:`HddDeviceModel` (the paper's mechanical
   36Z15 path, defined in :mod:`repro.mechanics.service` and
   re-exported here) and :mod:`repro.devices.flash` (flat-latency

@@ -108,10 +108,8 @@ class TechniqueRunner:
         hdc_bytes: int = 0,
         n_streams: Optional[int] = None,
         coalesce_prob: Optional[float] = None,
-        flush_at_end: bool = True,
         hdc_flush_interval_ms: float = 0.0,
         hdc_pin_fraction: float = 1.0,
-        on_record_complete=None,
         keep_raw_latencies: bool = True,
         open_loop: bool = False,
         accel: float = 1.0,
@@ -123,10 +121,9 @@ class TechniqueRunner:
         at their trace timestamps, time-warped by ``accel``, instead of
         the closed-loop ``n_streams`` model — the trace must be timed.
 
-        The end-of-run ``flush_hdc`` (when HDC is active and
-        ``flush_at_end``) is included in the reported I/O time, matching
-        §6.1's "dirty HDC blocks are only updated to disk at the end of
-        each simulated execution".
+        The end-of-run ``flush_hdc`` (when HDC is active) is included in
+        the reported I/O time, matching §6.1's "dirty HDC blocks are only
+        updated to disk at the end of each simulated execution".
 
         ``hdc_pin_fraction`` < 1 pins only that fraction of the HDC
         region's block capacity while still carving the full
@@ -170,7 +167,6 @@ class TechniqueRunner:
                 source,
                 accel=accel,
                 coalesce_prob=coalesce_prob,
-                on_record_complete=on_record_complete,
                 keep_raw_latencies=keep_raw_latencies,
             )
         else:
@@ -179,11 +175,10 @@ class TechniqueRunner:
                 source,
                 n_streams=n_streams,
                 coalesce_prob=coalesce_prob,
-                on_record_complete=on_record_complete,
                 keep_raw_latencies=keep_raw_latencies,
             )
         elapsed = driver.run()
-        if manager is not None and flush_at_end:
+        if manager is not None:
             manager.finish()
             system.sim.run()
             elapsed = system.sim.now

@@ -123,7 +123,7 @@ def striping_sweep(
         for tech in STRIPE_TECHNIQUES:
             res = runner.run(
                 config, tech, hdc_bytes=hdc_bytes,
-                hdc_pin_fraction=hdc_pin_fraction,
+                hdc_pin_fraction=hdc_pin_fraction, keep_raw_latencies=False,
             )
             result.add_point(tech.label, res.io_time_s)
             log(f"{exp_id} unit={unit_kb}KB {tech.label}: {res.io_time_s:.2f}s")
@@ -169,6 +169,7 @@ def hdc_sweep(
                 res = runner.run(
                     config, tech, hdc_bytes=hdc_kb * KB,
                     hdc_pin_fraction=hdc_pin_fraction,
+                    keep_raw_latencies=False,
                 )
             except ConfigError as exc:
                 result.add_point(tech.label, float("nan"))

@@ -68,12 +68,12 @@ def _run_server(
         array=ArrayParams(n_disks=8, striping_unit_bytes=unit_kb * KB),
         seed=seed,
     )
-    baseline = runner.run(config, SEGM)
+    baseline = runner.run(config, SEGM, keep_raw_latencies=False)
     log(f"table2 {name} Segm: {baseline.io_time_s:.2f}s")
     for tech in (FOR, SEGM_HDC, FOR_HDC):
         res = runner.run(
             config, tech, hdc_bytes=hdc_bytes,
-            hdc_pin_fraction=scale * mult,
+            hdc_pin_fraction=scale * mult, keep_raw_latencies=False,
         )
         result.add_point(tech.label, res.speedup_vs(baseline))
         log(

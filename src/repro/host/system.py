@@ -138,7 +138,6 @@ class System:
                 bus=self.bus,
                 block_size=config.block_size,
                 pinned=PinnedRegion(config.hdc_blocks),
-                dispatch_recheck=config.dispatch_recheck,
                 anticipatory_wait_ms=config.anticipatory_wait_ms,
                 tracer=self.tracer,
             )

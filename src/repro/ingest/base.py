@@ -15,6 +15,7 @@ stack trace out of ``int()``.
 from __future__ import annotations
 
 import gzip
+import os
 from pathlib import Path
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -31,10 +32,12 @@ def iter_lines(source: Source) -> Iterator[Tuple[int, str]]:
     stop early (e.g. ``itertools.islice``) without leaking handles.
     """
     if isinstance(source, (str, Path)):
-        path = Path(source)
+        # The path stays a string: building a Path parses every
+        # component, so the work would grow with the directory depth.
+        path = os.fspath(source)
         opener = gzip.open(path, "rt", encoding="utf-8", errors="replace") \
-            if path.suffix == ".gz" \
-            else path.open("r", encoding="utf-8", errors="replace")
+            if path.endswith(".gz") \
+            else open(path, "r", encoding="utf-8", errors="replace")
         with opener as fh:
             for lineno, line in enumerate(fh, start=1):
                 yield lineno, line

@@ -21,7 +21,7 @@ benchmark (``python3 -m benchmarks.e2e``), not here.
 
 Perfkit is a *consumer* of the obs/metrics surfaces and the
 experiments registry; it never reaches into controller/disk/array
-internals (layering rule 10 in ``tools/check_layering.py``).
+internals (layering rule 8 in ``tools/check_layering.py``).
 """
 
 from repro.perfkit.attribute import (

@@ -5,7 +5,6 @@ from repro.readahead.blind import BlindReadAhead
 from repro.readahead.none import NoReadAhead
 from repro.readahead.bitmap import SequentialityBitmap
 from repro.readahead.file_oriented import FileOrientedReadAhead
-from repro.readahead.planner import ReadAheadPlanner
 
 __all__ = [
     "ReadAheadPolicy",
@@ -13,5 +12,4 @@ __all__ = [
     "NoReadAhead",
     "SequentialityBitmap",
     "FileOrientedReadAhead",
-    "ReadAheadPlanner",
 ]

@@ -5,7 +5,7 @@ on a stale handle decremented ``EventQueue._live`` a second time —
 ``pending`` went negative and ``__bool__`` lied. These tests pin the
 fix at the engine level and at the three exposed call sites
 (``QueueDepthSampler.stop``, ``HdcManager.finish``,
-``MediaPath._cancel_wait``).
+``DiskController._cancel_wait``).
 """
 
 
@@ -229,9 +229,9 @@ class TestControllerCancelWaitAfterFire:
         sim.run()
         assert done == ["near", "far"]
         assert controller.stats.anticipation_waits >= 1
-        assert controller.media._wait_event is None
+        assert controller._wait_event is None
         assert sim.pending == 0
-        controller.media._cancel_wait()  # no-op: nothing pending
+        controller._cancel_wait()  # no-op: nothing pending
         assert sim.pending == 0
 
     def test_cancel_wait_with_stale_fired_handle(self):
@@ -240,9 +240,9 @@ class TestControllerCancelWaitAfterFire:
         sim.run()
         # simulate the pre-fix hazard: the controller is left holding a
         # handle whose deadline already fired
-        controller.media._wait_event = fired
-        controller.media._cancel_wait()
-        assert controller.media._wait_event is None
+        controller._wait_event = fired
+        controller._cancel_wait()
+        assert controller._wait_event is None
         assert sim.pending == 0
         sim.schedule(1.0, lambda: None)
         assert sim.pending == 1  # count not poisoned

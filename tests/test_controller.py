@@ -7,7 +7,7 @@ from repro.cache.block import BlockCache
 from repro.cache.pinned import PinnedRegion
 from repro.config import BusParams, DiskParams
 from repro.controller.commands import DiskCommand
-from repro.controller.controller import DiskController, _contiguous_runs
+from repro.controller.controller import DiskController, contiguous_runs
 from repro.disk.drive import DiskDrive
 from repro.errors import SimulationError
 from repro.mechanics.service import HddDeviceModel
@@ -22,7 +22,6 @@ def make_controller(
     readahead=None,
     cache_blocks=64,
     hdc_blocks=0,
-    dispatch_recheck=False,
 ):
     sim = Simulator()
     disk = DiskParams(capacity_bytes=64 * MB)
@@ -39,7 +38,6 @@ def make_controller(
         bus=bus,
         block_size=4 * KB,
         pinned=PinnedRegion(hdc_blocks),
-        dispatch_recheck=dispatch_recheck,
     )
     return sim, controller
 
@@ -55,13 +53,13 @@ def submit_and_run(sim, controller, cmd):
 
 class TestContiguousRuns:
     def test_empty(self):
-        assert _contiguous_runs([]) == []
+        assert contiguous_runs([]) == []
 
     def test_single_run(self):
-        assert _contiguous_runs([3, 4, 5]) == [(3, 3)]
+        assert contiguous_runs([3, 4, 5]) == [(3, 3)]
 
     def test_multiple_runs(self):
-        assert _contiguous_runs([1, 2, 5, 9, 10]) == [(1, 2), (5, 1), (9, 2)]
+        assert contiguous_runs([1, 2, 5, 9, 10]) == [(1, 2), (5, 1), (9, 2)]
 
 
 class TestReadPath:
@@ -114,29 +112,16 @@ class TestReadPath:
 
 
 class TestDispatchRecheck:
-    def test_recheck_absorbs_queued_duplicates(self):
-        sim, controller = make_controller(
-            readahead=BlindReadAhead(8), dispatch_recheck=True
-        )
-        done = []
-        first = DiskCommand(0, 100, 2, on_complete=lambda c: done.append("a"))
-        second = DiskCommand(0, 104, 2, on_complete=lambda c: done.append("b"))
-        controller.submit(first)
-        controller.submit(second)  # queued behind; covered by first's RA
-        sim.run()
-        assert sorted(done) == ["a", "b"]
-        assert controller.stats.media_reads == 1
-        assert controller.stats.dispatch_cache_hits == 1
+    """The cache is consulted on arrival only, as in the paper's
+    controller: a read queued behind a miss goes to the media even when
+    the earlier read's read-ahead covers it by the time it dispatches."""
 
     def test_without_recheck_queued_read_hits_media(self):
-        sim, controller = make_controller(
-            readahead=BlindReadAhead(8), dispatch_recheck=False
-        )
+        sim, controller = make_controller(readahead=BlindReadAhead(8))
         controller.submit(DiskCommand(0, 100, 2, on_complete=lambda c: None))
         controller.submit(DiskCommand(0, 104, 2, on_complete=lambda c: None))
         sim.run()
         assert controller.stats.media_reads == 2
-        assert controller.stats.dispatch_cache_hits == 0
 
 
 class TestWritePath:

@@ -1,13 +1,17 @@
 """Trace-format parsers: blktrace, MSR CSV, fio iolog, autodetection."""
 
+import cProfile
 import gzip
 import itertools
+import pstats
+import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.errors import WorkloadError
 from repro.ingest import detect_format, parse_blktrace, parse_fio, parse_msr
+from repro.ingest.base import iter_lines
 from repro.ingest.detect import parse_source
 from repro.workloads.trace import TimedAccess
 
@@ -165,6 +169,24 @@ class TestGzipAndStreaming:
         first_five = list(itertools.islice(records, 5))
         assert len(first_five) == 5
         assert first_five[4].runs == ((4, 1),)
+
+    def test_reading_a_path_costs_the_same_at_any_depth(self, tmp_path):
+        """Opening a path does no per-component work, so a profiled
+        replay counts the same calls wherever the checkout sits."""
+        shallow = tmp_path / "a.log"
+        deep = tmp_path / "x" / "y" / "z" / "a.log"
+        deep.parent.mkdir(parents=True)
+        for path in (shallow, deep):
+            shutil.copy(DATA / "sample_fio.log", path)
+
+        def calls(path):
+            profiler = cProfile.Profile()
+            profiler.enable()
+            list(iter_lines(path))
+            profiler.disable()
+            return pstats.Stats(profiler).total_calls
+
+        assert calls(shallow) == calls(deep)
 
     def test_sample_files_stay_small(self):
         for name in (

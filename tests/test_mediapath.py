@@ -1,9 +1,8 @@
-"""MediaPath stage in isolation: retry, timeout and offline orderings.
+"""The controller's fault handling: retry, timeout and offline orderings.
 
-The fault machinery used to be woven through the controller god-class;
-these tests exercise it directly on the extracted
-:class:`~repro.controller.mediapath.MediaPath` via a minimal
-single-disk controller, pinning down the two orderings the stage
+These tests drive a minimal single-disk
+:class:`~repro.controller.controller.DiskController` with a fault
+injector attached, pinning down the two orderings its media job queue
 guarantees:
 
 * **requeue after transient error** — the failed job leaves the media,
@@ -20,8 +19,7 @@ from repro.bus.scsi import ScsiBus
 from repro.cache.block import BlockCache
 from repro.config import BusParams, DiskParams
 from repro.controller.commands import DiskCommand
-from repro.controller.controller import DiskController
-from repro.controller.mediapath import MediaJob
+from repro.controller.controller import DiskController, MediaJob
 from repro.disk.drive import DiskDrive
 from repro.faults.injector import DISK_FAILED, MEDIA_ERROR, FaultInjector
 from repro.faults.plan import DiskFaultPlan

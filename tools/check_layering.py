@@ -1,46 +1,39 @@
 #!/usr/bin/env python3
-"""Import-layering checker for the staged controller pipeline.
+"""Import-layering checker for the simulator's package boundaries.
 
 Enforced rules (AST-level, no imports executed):
 
-1. **Stage order** — within ``repro.controller`` the stages may only
-   import strictly *downstream* stage modules:
-   ``completion`` < ``cachepath`` < ``mediapath`` < ``frontend`` <
-   ``controller`` (the facade). ``commands`` and ``stats`` are shared
-   leaves importable by every stage.
-2. **No private cross-imports** — no module anywhere under ``src/``
+1. **No private cross-imports** — no module anywhere under ``src/``
    imports an underscore-prefixed name from another module.
-3. **Facade stays slim** — ``controller/controller.py`` is at most
-   200 lines.
-4. **Cache policies are siblings** — ``cache/block.py``,
+2. **Cache policies are siblings** — ``cache/block.py``,
    ``cache/segment.py`` and ``cache/pinned.py`` never import each
    other (they share ``cache/base.py`` and ``cache/core.py``).
-5. **Read-ahead is controller-free** — nothing in ``repro.readahead``
-   imports ``repro.controller`` (the planner is duck-typed).
-6. **Ingest is controller-free** — nothing in ``repro.ingest`` imports
+3. **Read-ahead is controller-free** — nothing in ``repro.readahead``
+   imports ``repro.controller``.
+4. **Ingest is controller-free** — nothing in ``repro.ingest`` imports
    ``repro.controller``. Trace ingestion may build on workloads and fs
    (records, layouts, bitmaps) but must never reach into the simulated
    hardware; replay wiring lives in ``host``/``experiments``.
-7. **Loadgen is a pure producer** — ``repro.loadgen`` may import only
+5. **Loadgen is a pure producer** — ``repro.loadgen`` may import only
    workload-side packages (``workloads``, ``ingest``, ``fs``) plus the
    shared leaves (``errors``, ``units``, ``sim.rng``). It emits
    records; it never reaches into the consumers (``controller``,
    ``host``, ``cache``, ``disk``, the sim engine, ...) — replay wiring
    lives in ``host``/``experiments``.
-8. **Service sits above the host layer** — ``repro.service`` talks to
+6. **Service sits above the host layer** — ``repro.service`` talks to
    the array through ``host``/``array`` (plus the engine, config, obs
    and shared leaves) and never imports device internals
    (``controller``, ``cache``, ``disk``, ``mechanics``, ``scheduling``,
    ``bus``, ...): whatever the wire protocol needs must be reachable
    through the host-layer surface, or it doesn't belong on the wire.
-9. **Devices are reached through the device contract** —
+7. **Devices are reached through the device contract** —
    ``repro.disk`` and ``repro.array`` consume device models only
    through the contract surface (``repro.devices``,
    ``repro.devices.base``), never the mechanical internals
    (``repro.mechanics``, ``repro.geometry``, home of the HDD model) or
    a concrete model module (``repro.devices.flash``) — that boundary
    is what keeps new device technologies drop-in.
-10. **Perfkit is a pure consumer of result surfaces** —
+8. **Perfkit is a pure consumer of result surfaces** —
    ``repro.perfkit`` analyzes runs through the obs/metrics surfaces
    and drives them through the experiments facade (plus config,
    workloads and the shared leaves); it never imports controller /
@@ -61,14 +54,7 @@ from typing import Iterator, List, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-#: Stage modules in dependency order; each may import only strictly
-#: earlier stages (plus the shared leaves).
-STAGE_ORDER = ["completion", "cachepath", "mediapath", "frontend", "controller"]
-SHARED_LEAVES = {"commands", "stats"}
-
 CACHE_POLICIES = {"block", "segment", "pinned"}
-
-FACADE_MAX_LINES = 200
 
 
 def iter_imports(tree: ast.AST) -> Iterator[Tuple[str, List[str]]]:
@@ -83,31 +69,6 @@ def iter_imports(tree: ast.AST) -> Iterator[Tuple[str, List[str]]]:
             yield node.module or "", [a.name for a in node.names]
 
 
-def check_stage_order(errors: List[str]) -> None:
-    controller_dir = SRC / "repro" / "controller"
-    for path in sorted(controller_dir.glob("*.py")):
-        stem = path.stem
-        if stem not in STAGE_ORDER:
-            continue
-        rank = STAGE_ORDER.index(stem)
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for module, _names in iter_imports(tree):
-            if not module.startswith("repro.controller."):
-                continue
-            target = module.split(".")[2]
-            if target in SHARED_LEAVES or target == stem:
-                continue
-            if target not in STAGE_ORDER:
-                errors.append(
-                    f"{path}: imports unknown controller module {module}"
-                )
-            elif STAGE_ORDER.index(target) >= rank:
-                errors.append(
-                    f"{path}: stage '{stem}' imports non-downstream "
-                    f"stage '{target}' (order: {' < '.join(STAGE_ORDER)})"
-                )
-
-
 def check_private_imports(errors: List[str]) -> None:
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -119,16 +80,6 @@ def check_private_imports(errors: List[str]) -> None:
                     errors.append(
                         f"{path}: imports private name '{name}' from {module}"
                     )
-
-
-def check_facade_size(errors: List[str]) -> None:
-    facade = SRC / "repro" / "controller" / "controller.py"
-    n_lines = len(facade.read_text().splitlines())
-    if n_lines > FACADE_MAX_LINES:
-        errors.append(
-            f"{facade}: facade is {n_lines} lines "
-            f"(budget: {FACADE_MAX_LINES}) — move logic into a stage"
-        )
 
 
 def check_cache_policy_isolation(errors: List[str]) -> None:
@@ -283,9 +234,7 @@ def check_perfkit_independence(errors: List[str]) -> None:
 
 def main() -> int:
     errors: List[str] = []
-    check_stage_order(errors)
     check_private_imports(errors)
-    check_facade_size(errors)
     check_cache_policy_isolation(errors)
     check_readahead_independence(errors)
     check_ingest_independence(errors)
