@@ -8,16 +8,22 @@ queue FIFO. At 160 MB/s the bus is rarely the bottleneck for 8 disks of
 54 MB/s media rate doing small random I/O — but it is simulated, so
 configurations that saturate it (large striping units, big reads)
 behave correctly.
+
+The bus is its own single-slot FIFO: a transfer on an idle bus
+schedules its finish event at once, and each finish hands the bus to
+the oldest waiter before running its continuation, so one transfer
+costs exactly one engine event. Busy time accumulates per transfer
+(``now - busy_since`` at each finish), for :meth:`ScsiBus.utilization`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from collections import deque
+from typing import Any, Callable, Deque, Tuple
 
 from repro.config import BusParams
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource
 
 #: The bus's trace track (a single shared channel — one timeline).
 BUS_TRACK = "bus"
@@ -30,9 +36,14 @@ class ScsiBus:
         self.sim = sim
         self.params = params
         self.tracer = tracer
-        self._resource = Resource(sim, capacity=1, name="scsi-bus")
         self.bytes_transferred: int = 0
         self.transfers: int = 0
+        #: Milliseconds the bus was held by finished transfers.
+        self.busy_time: float = 0.0
+        self._busy = False
+        self._busy_since: float = 0.0
+        #: Transfers waiting for the bus, oldest first.
+        self._waiters: Deque[Tuple[float, Callable[..., Any], tuple]] = deque()
 
     def transfer(self, n_bytes: int, fn: Callable[..., Any], *args: Any) -> None:
         """Move ``n_bytes`` across the bus, then run ``fn(*args)``."""
@@ -49,7 +60,7 @@ class ScsiBus:
             tracer = self.tracer
             requested_at = self.sim.now
 
-            def _traced(*inner: Any) -> None:
+            def _traced(target: Callable[..., Any], *inner: Any) -> None:
                 end = self.sim.now
                 tracer.complete(
                     BUS_TRACK,
@@ -59,17 +70,33 @@ class ScsiBus:
                     bytes=n_bytes,
                     wait_ms=max(0.0, end - duration - requested_at),
                 )
-                fn(*inner)
+                target(*inner)
 
-            self._resource.hold(duration, _traced, *args)
+            fn, args = _traced, (fn, *args)
+        if self._busy:
+            self._waiters.append((duration, fn, args))
             return
-        self._resource.hold(duration, fn, *args)
+        self._busy = True
+        self._busy_since = self.sim.now
+        self.sim.call_after(duration, self._finish, fn, args)
+
+    def _finish(self, fn: Callable[..., Any], args: tuple) -> None:
+        """End the current transfer, start the oldest waiter, run ``fn``."""
+        sim = self.sim
+        self.busy_time += sim.now - self._busy_since
+        if self._waiters:
+            duration, next_fn, next_args = self._waiters.popleft()
+            self._busy_since = sim.now
+            sim.call_after(duration, self._finish, next_fn, next_args)
+        else:
+            self._busy = False
+        fn(*args)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` during which the bus was busy."""
-        return self._resource.utilization(elapsed)
-
-    @property
-    def queue_length(self) -> int:
-        """Transfers currently waiting for the bus."""
-        return self._resource.queue_length
+        if elapsed <= 0:
+            return 0.0
+        busy = self.busy_time
+        if self._busy:
+            busy += self.sim.now - self._busy_since
+        return min(1.0, busy / elapsed)

@@ -1,6 +1,7 @@
 """Disk-controller cache organizations.
 
-Two organizations from the paper:
+Two organizations from the paper, each a policy over the presence map,
+statistics and tracer instants of :class:`~repro.cache.base.ControllerCache`:
 
 * :class:`~repro.cache.segment.SegmentCache` — the conventional design
   (§2.1): fixed-size segments, one per sequential stream, whole-segment
@@ -9,19 +10,18 @@ Two organizations from the paper:
   blocks allocated to streams on demand, with MRU replacement over
   host-consumed blocks.
 
-Both can be wrapped with a :class:`~repro.cache.pinned.PinnedRegion`
-implementing HDC's non-replaceable blocks (§5).
+HDC's non-replaceable blocks (§5) are not a cache organization: each
+:class:`~repro.controller.controller.DiskController` keeps its pinned
+region itself, beside whichever cache it runs.
 """
 
 from repro.cache.base import CacheStats, ControllerCache
 from repro.cache.segment import SegmentCache
 from repro.cache.block import BlockCache
-from repro.cache.pinned import PinnedRegion
 
 __all__ = [
     "CacheStats",
     "ControllerCache",
     "SegmentCache",
     "BlockCache",
-    "PinnedRegion",
 ]

@@ -7,8 +7,9 @@ locality (the host caches re-used data itself), the block *most
 recently consumed by the host* is the least likely to be needed again,
 while read-ahead blocks that have not yet been consumed must be kept.
 
-Implementation: the shared presence map carries membership (payload
-``None``); recency order lives in two ordered dicts —
+Implementation: the shared presence map (:mod:`repro.cache.base`)
+carries membership (payload ``None``); recency order lives in two
+ordered dicts —
 
 * *accessed*: blocks the host has consumed, ordered by last touch;
   MRU evicts from the most-recent end, LRU from the least-recent end.
@@ -73,7 +74,7 @@ class BlockCache(ControllerCache):
             return
         stats = self.stats
         stats.fills += 1
-        present = self.core.present
+        present = self._present
         unaccessed = self._unaccessed
         capacity = self.capacity_blocks
         new = [b for b in blocks if b not in present]
@@ -100,15 +101,13 @@ class BlockCache(ControllerCache):
             # (``len(new) == len(blocks)``), so no victim can reappear
             # later in this run — interleaving cannot change victims.
             accessed = self._accessed
-            core = self.core
-            core_stats = core.stats
-            tracer = core.tracer
+            tracer = self._tracer
             for _ in range(need):
                 block, _ = accessed.popitem(last=True)
                 del present[block]
-                core_stats.evictions += 1
+                stats.evictions += 1
                 if tracer.enabled:
-                    tracer.instant(core.track, "cache.evict", blocks=1, unused=0)
+                    tracer.instant(self._track, "cache.evict", blocks=1, unused=0)
             present.update(installed)
             unaccessed.update(installed)
             stats.blocks_filled += len(installed)
@@ -146,18 +145,18 @@ class BlockCache(ControllerCache):
         """Evict one block, never touching ``exempt``; False if stuck.
 
         Runs once per evicted block on the steady-state fill path, so
-        :meth:`CacheCore.record_eviction`'s accounting (stats counters
-        + the ``cache.evict`` instant) is open-coded here to spare a
-        call per block.
+        the accounting of a consumed victim (the eviction counter + the
+        ``cache.evict`` instant) is open-coded here to spare a call per
+        block.
         """
-        core = self.core
+        present = self._present
         if self.policy is BlockPolicy.MRU:
             if self._accessed:
                 block, _ = self._accessed.popitem(last=True)
-                del core.present[block]
-                core.stats.evictions += 1
-                if core.tracer.enabled:
-                    core.tracer.instant(core.track, "cache.evict", blocks=1, unused=0)
+                del present[block]
+                self.stats.evictions += 1
+                if self._tracer.enabled:
+                    self._tracer.instant(self._track, "cache.evict", blocks=1, unused=0)
                 return True
             # No consumed block to drop: fall back to the oldest
             # read-ahead block (it has waited longest unconsumed).
@@ -165,8 +164,8 @@ class BlockCache(ControllerCache):
             if victim is None:
                 return False
             del self._unaccessed[victim]
-            del core.present[victim]
-            core.record_eviction(1, 1)
+            del present[victim]
+            self._record_eviction(1, 1)
             return True
         # LRU: globally least recent — unaccessed blocks are older than
         # any accessed block touched after their fill; approximate the
@@ -174,20 +173,20 @@ class BlockCache(ControllerCache):
         victim = self._oldest_unaccessed_victim(exempt)
         if victim is not None:
             del self._unaccessed[victim]
-            del core.present[victim]
-            core.record_eviction(1, 1)
+            del present[victim]
+            self._record_eviction(1, 1)
             return True
         if self._accessed:
             block, _ = self._accessed.popitem(last=False)
-            del core.present[block]
-            core.stats.evictions += 1
-            if core.tracer.enabled:
-                core.tracer.instant(core.track, "cache.evict", blocks=1, unused=0)
+            del present[block]
+            self.stats.evictions += 1
+            if self._tracer.enabled:
+                self._tracer.instant(self._track, "cache.evict", blocks=1, unused=0)
             return True
         return False
 
     def invalidate(self, block: int) -> None:
-        present = self.core.present
+        present = self._present
         if block not in present:
             return
         del present[block]

@@ -12,10 +12,10 @@ A stream that fills again reuses its own segment, which is how real
 controllers keep one segment per detected sequential stream. Thrashing
 appears exactly when concurrent streams outnumber segments.
 
-Bookkeeping rides on :mod:`repro.cache.core`: the presence map holds
-block → owning segment. The at most ``n_segments`` live segments sit in
-a plain slot list; a replacement takes its victim's position, which
-reproduces physical slot reuse (round-robin cycles over slots). LRU and
+The shared presence map (:mod:`repro.cache.base`) holds block → owning
+segment. The at most ``n_segments`` live segments sit in a plain slot
+list; a replacement takes its victim's position, which reproduces
+physical slot reuse (round-robin cycles over slots). LRU and
 FIFO victims come from one ``min()`` scan over that list by
 ``last_touch`` / ``created``, so key ties go to the earlier slot and no
 structure keeps a segment alive after it is dropped.
@@ -79,7 +79,7 @@ class SegmentCache(ControllerCache):
     def access(self, blocks: Iterable[int]) -> None:
         self._clock += 1
         stamp = self._clock
-        present = self.core.present
+        present = self._present
         for b in blocks:
             seg = present.get(b)
             if seg is not None:
@@ -94,7 +94,7 @@ class SegmentCache(ControllerCache):
             return
         self.stats.fills += 1
         size = self.segment_blocks
-        present = self.core.present
+        present = self._present
         for start in range(0, len(blocks), size):
             chunk = [b for b in blocks[start : start + size] if b not in present]
             if not chunk:
@@ -123,7 +123,7 @@ class SegmentCache(ControllerCache):
             slots[slots.index(replaced)] = seg
         if stream >= 0:
             self._by_stream[stream] = seg
-        self.core.present.update(dict.fromkeys(chunk, seg))
+        self._present.update(dict.fromkeys(chunk, seg))
         self.stats.blocks_filled += len(chunk)
 
     def _choose_victim(self) -> _Segment:
@@ -144,16 +144,16 @@ class SegmentCache(ControllerCache):
         """Evict ``seg``'s contents (slot handling is the caller's)."""
         if seg.stream >= 0 and self._by_stream.get(seg.stream) is seg:
             del self._by_stream[seg.stream]
-        present = self.core.present
+        present = self._present
         for b in seg.blocks:
             if present.get(b) is seg:
                 del present[b]
-        self.core.record_eviction(
+        self._record_eviction(
             len(seg.blocks), len(seg.blocks) - len(seg.accessed), stream=seg.stream
         )
 
     def invalidate(self, block: int) -> None:
-        seg = self.core.present.pop(block, None)
+        seg = self._present.pop(block, None)
         if seg is not None:
             seg.blocks.remove(block)
             seg.accessed.discard(block)

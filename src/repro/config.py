@@ -101,7 +101,7 @@ class SeekParams:
         if self.theta <= 0:
             raise ConfigError(f"seek theta must be positive, got {self.theta}")
         for name in ("alpha", "beta", "gamma", "delta"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"seek {name} must be non-negative")
 
 
@@ -131,11 +131,11 @@ class DiskParams:
             raise ConfigError(f"implausible sector size {self.sector_size}")
         if self.sectors_per_track <= 0 or self.tracks_per_cylinder <= 0:
             raise ConfigError("geometry counts must be positive")
-        if self.rpm <= 0:
+        if not self.rpm > 0:
             raise ConfigError("rpm must be positive")
-        if self.transfer_rate_mb_s <= 0:
+        if not self.transfer_rate_mb_s > 0:
             raise ConfigError("transfer rate must be positive")
-        if self.command_overhead_ms < 0:
+        if not self.command_overhead_ms >= 0:
             raise ConfigError("command overhead must be non-negative")
         self.seek.validate()
 
@@ -193,13 +193,13 @@ class SsdParams:
     def validate(self) -> None:
         if self.capacity_bytes <= 0:
             raise ConfigError("ssd capacity must be positive")
-        if self.read_latency_ms < 0 or self.write_latency_ms < 0:
+        if not (self.read_latency_ms >= 0 and self.write_latency_ms >= 0):
             raise ConfigError("ssd latencies must be non-negative")
-        if self.transfer_rate_mb_s <= 0:
+        if not self.transfer_rate_mb_s > 0:
             raise ConfigError("ssd transfer rate must be positive")
         if self.channels < 1:
             raise ConfigError(f"ssd needs >=1 channel, got {self.channels}")
-        if self.command_overhead_ms < 0:
+        if not self.command_overhead_ms >= 0:
             raise ConfigError("ssd command overhead must be non-negative")
 
     @property
@@ -409,9 +409,9 @@ class BusParams:
     per_command_overhead_ms: float = 0.02
 
     def validate(self) -> None:
-        if self.bandwidth_mb_s <= 0:
+        if not self.bandwidth_mb_s > 0:
             raise ConfigError("bus bandwidth must be positive")
-        if self.per_command_overhead_ms < 0:
+        if not self.per_command_overhead_ms >= 0:
             raise ConfigError("bus overhead must be non-negative")
 
     @property
@@ -468,7 +468,7 @@ class SimConfig:
                 raise ConfigError(
                     f"{name} must be a {kind.__name__} member, got {value!r}"
                 )
-        if self.anticipatory_wait_ms < 0:
+        if not self.anticipatory_wait_ms >= 0:
             raise ConfigError("anticipatory wait must be non-negative")
         if self.hdc_bytes < 0:
             raise ConfigError("hdc_bytes must be non-negative")

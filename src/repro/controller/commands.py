@@ -21,6 +21,7 @@ class DiskCommand:
         "disk_id",
         "start_block",
         "n_blocks",
+        "end_block",
         "is_write",
         "stream_id",
         "on_complete",
@@ -48,6 +49,8 @@ class DiskCommand:
         self.disk_id = disk_id
         self.start_block = start_block
         self.n_blocks = n_blocks
+        #: One past the last block covered by this command.
+        self.end_block = start_block + n_blocks
         self.is_write = is_write
         self.stream_id = stream_id
         self.on_complete = on_complete
@@ -62,11 +65,6 @@ class DiskCommand:
         #: callbacks fire either way — callers check this field.
         self.error: Optional[str] = None
         self._done = False
-
-    @property
-    def end_block(self) -> int:
-        """One past the last block covered by this command."""
-        return self.start_block + self.n_blocks
 
     def blocks(self) -> range:
         """The physical block numbers this command covers."""

@@ -4,6 +4,10 @@
 
 * admission and the read/write split (:meth:`DiskController.submit`);
 * cache and HDC lookup, media fill and write absorption;
+* the HDC region (§5): a ``block → dirty`` dict of non-replaceable
+  blocks, managed by the host's ``pin_blk`` / ``unpin_blk`` /
+  ``flush_hdc`` commands (:meth:`DiskController.pin_blocks`,
+  :meth:`~DiskController.unpin_blocks`, :meth:`~DiskController.flush_hdc`);
 * read-ahead sizing through the configured policy (blind, none, FOR);
 * the :class:`MediaJob` queue ordered by the scheduling discipline,
   with dispatch, anticipatory idling (Iyer & Druschel, the paper's
@@ -17,15 +21,14 @@ against its public methods and attributes only.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bus.scsi import ScsiBus
 from repro.cache.base import ControllerCache
-from repro.cache.pinned import PinnedRegion
 from repro.controller.commands import DiskCommand
 from repro.controller.stats import ControllerStats
 from repro.disk.drive import DiskDrive
-from repro.errors import SimulationError
+from repro.errors import CacheError, SimulationError
 from repro.faults.injector import DISK_FAILED, MEDIA_ERROR, TIMEOUT
 from repro.obs.tracer import NULL_TRACER
 from repro.readahead.base import ReadAheadPolicy
@@ -90,7 +93,7 @@ class DiskController:
         readahead: ReadAheadPolicy,
         bus: ScsiBus,
         block_size: int,
-        pinned: Optional[PinnedRegion] = None,
+        hdc_blocks: int = 0,
         anticipatory_wait_ms: float = 0.0,
         tracer=NULL_TRACER,
     ):
@@ -102,7 +105,14 @@ class DiskController:
         self.readahead = readahead
         self.bus = bus
         self.block_size = block_size
-        self.pinned = pinned if pinned is not None else PinnedRegion(0)
+        if hdc_blocks < 0:
+            raise CacheError(f"negative HDC capacity {hdc_blocks}")
+        #: Capacity of the HDC region in blocks (0 disables HDC).
+        self.hdc_blocks = hdc_blocks
+        #: The HDC region: pinned block → dirty flag. A write to a
+        #: pinned block updates the cached copy only; the media write
+        #: waits for the next ``flush_hdc``.
+        self.pinned: Dict[int, bool] = {}
         #: Anticipatory scheduling: after completing a read for stream
         #: ``s``, keep the media idle up to this long when the best
         #: queued candidate belongs to a different stream — ``s``'s next
@@ -115,7 +125,6 @@ class DiskController:
         self.stats = ControllerStats()
         scheduler.attach_tracer(tracer, self.trace_track)
         cache.attach_tracer(tracer, self.trace_track)
-        self.pinned.attach_tracer(tracer, self.trace_track)
         self._geometry = drive.geometry
         self._disk_blocks = drive.geometry.n_blocks
         self._last_read_stream = -1
@@ -205,15 +214,14 @@ class DiskController:
         consulted on arrival only, as in the paper's controller.
         """
         pinned = self.pinned
-        if not len(pinned):
+        if not pinned:
             # Common case (HDC disabled or nothing pinned yet): skip the
-            # per-block is_pinned probe entirely.
-            return self.cache.missing(cmd.blocks())
+            # per-block pinned probe entirely.
+            return self.cache.missing(range(cmd.start_block, cmd.end_block))
         plain: List[int] = []
         n_pinned = 0
-        for b in cmd.blocks():
-            if pinned.is_pinned(b):
-                pinned.note_read_hit(b)
+        for b in range(cmd.start_block, cmd.end_block):
+            if b in pinned:
                 n_pinned += 1
             else:
                 plain.append(b)
@@ -225,39 +233,39 @@ class DiskController:
     def _fill_from_media(self, start: int, n_blocks: int, stream: int) -> None:
         """Install a completed media read (requested + read-ahead)."""
         pinned = self.pinned
-        if not len(pinned):
+        if not pinned:
             # The run is installed as-is; a range is a Sequence, so the
             # cache's bulk path consumes it without an intermediate list.
             self.cache.fill(range(start, start + n_blocks), stream_hint=stream)
             return
-        fill = [
-            b for b in range(start, start + n_blocks) if not pinned.is_pinned(b)
-        ]
+        fill = [b for b in range(start, start + n_blocks) if b not in pinned]
         self.cache.fill(fill, stream_hint=stream)
 
-    def _absorb_write(self, cmd: DiskCommand) -> List[int]:
+    def _absorb_write(self, cmd: DiskCommand) -> Sequence[int]:
         """Absorb pinned-block writes; returns the blocks bound for media.
 
-        Host consumption semantics for the cached survivors: freshly
-        written blocks are the least likely to be re-read (the host
-        caches them itself), so they are recency-marked as consumed.
+        A write to a pinned block marks it dirty. Host consumption
+        semantics for the cached survivors: freshly written blocks are
+        the least likely to be re-read (the host caches them itself), so
+        they are recency-marked as consumed (``access`` skips the ones
+        the cache does not hold).
         """
         pinned = self.pinned
-        if not len(pinned):
-            plain: List[int] = list(cmd.blocks())
+        plain: Sequence[int]
+        if not pinned:
+            plain = range(cmd.start_block, cmd.end_block)
         else:
             plain = []
             n_pinned = 0
-            for b in cmd.blocks():
-                if pinned.is_pinned(b):
-                    pinned.write(b)
+            for b in range(cmd.start_block, cmd.end_block):
+                if b in pinned:
+                    pinned[b] = True
                     n_pinned += 1
                 else:
                     plain.append(b)
             self.stats.hdc_block_hits += n_pinned
             self.stats.hdc_write_absorbed += n_pinned
-        cache = self.cache
-        cache.access(b for b in plain if cache.contains(b))
+        self.cache.access(plain)
         return plain
 
     # -- HDC host commands (§5) -----------------------------------------
@@ -276,7 +284,20 @@ class DiskController:
         measured period, as in the paper's evaluation.
         """
         block_list = sorted(set(blocks))
-        self.pinned.pin_many(block_list)
+        pinned = self.pinned
+        for b in block_list:
+            if b in pinned:
+                continue
+            if len(pinned) >= self.hdc_blocks:
+                raise CacheError(
+                    f"HDC region full ({self.hdc_blocks} blocks); "
+                    f"cannot pin block {b}"
+                )
+            pinned[b] = False
+        if self.tracer.enabled and block_list:
+            self.tracer.instant(
+                self.trace_track, "hdc.pin", blocks=len(block_list), pinned=len(pinned)
+            )
         self.stats.pins_loaded += len(block_list)
         cache = self.cache
         for b in block_list:
@@ -289,18 +310,37 @@ class DiskController:
         self._enqueue_runs(runs, MediaJob.INTERNAL_READ, None, on_complete)
 
     def unpin_blocks(self, blocks: Iterable[int]) -> None:
-        """``unpin_blk`` for a batch (blocks must be clean)."""
+        """``unpin_blk`` for a batch; unknown blocks are ignored.
+
+        Unpinning a dirty block is refused: the host must flush first,
+        otherwise the only up-to-date copy would become evictable.
+        """
         pinned = self.pinned
         for b in blocks:
-            pinned.unpin(b)
+            dirty = pinned.get(b)
+            if dirty is None:
+                continue
+            if dirty:
+                raise CacheError(f"cannot unpin dirty block {b}; flush_hdc first")
+            del pinned[b]
+            if self.tracer.enabled:
+                self.tracer.instant(self.trace_track, "hdc.unpin", block=b)
 
     def flush_hdc(self, on_complete: Optional[Callable[[], None]] = None) -> int:
         """``flush_hdc``: write all dirty pinned blocks to the media.
 
-        Returns the number of blocks flushed; ``on_complete`` fires when
-        the last write lands.
+        The blocks stay pinned, now clean. Returns the number of blocks
+        flushed; ``on_complete`` fires when the last write lands.
         """
-        dirty = sorted(self.pinned.flush())
+        pinned = self.pinned
+        dirty = [b for b, d in pinned.items() if d]
+        for b in dirty:
+            pinned[b] = False
+        if self.tracer.enabled:
+            self.tracer.instant(
+                self.trace_track, "hdc.flush", dirty=len(dirty), pinned=len(pinned)
+            )
+        dirty.sort()
         self.stats.flush_commands += 1
         self.stats.flush_blocks_written += len(dirty)
         if not dirty:
@@ -334,10 +374,11 @@ class DiskController:
         """Recency-mark a read's non-pinned blocks, then move its data to
         the host over the bus; the transfer's end finishes the command."""
         pinned = self.pinned
-        if not len(pinned):
-            self.cache.access(cmd.blocks())
+        blocks = range(cmd.start_block, cmd.end_block)
+        if not pinned:
+            self.cache.access(blocks)
         else:
-            self.cache.access(b for b in cmd.blocks() if not pinned.is_pinned(b))
+            self.cache.access([b for b in blocks if b not in pinned])
         self.bus.transfer(cmd.n_blocks * self.block_size, self._finish, cmd)
 
     def _finish(self, cmd: DiskCommand) -> None:

@@ -43,9 +43,9 @@ class RetryPolicy:
     def validate(self) -> None:
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
+        if not (self.backoff_base_ms >= 0 and self.backoff_cap_ms >= 0):
             raise ConfigError("backoff times must be non-negative")
-        if self.command_timeout_ms < 0:
+        if not self.command_timeout_ms >= 0:
             raise ConfigError("command timeout must be non-negative")
 
     def backoff_ms(self, attempt: int) -> float:
@@ -94,13 +94,13 @@ class FaultProfile:
             rate = getattr(self, rate_name)
             if not 0.0 <= rate < 1.0:
                 raise ConfigError(f"{rate_name} must be in [0, 1), got {rate}")
-        if self.slow_factor < 1.0:
+        if not self.slow_factor >= 1.0:
             raise ConfigError(f"slow_factor must be >= 1, got {self.slow_factor}")
-        if self.mtbf_ms < 0 or self.repair_ms <= 0:
+        if not (self.mtbf_ms >= 0 and self.repair_ms > 0):
             raise ConfigError("mtbf_ms must be >= 0 and repair_ms > 0")
         if self.rebuild_span_blocks < 0 or self.rebuild_chunk_blocks < 1:
             raise ConfigError("bad rebuild span/chunk")
-        if self.horizon_ms <= 0 or self.horizon_ops < 1:
+        if not self.horizon_ms > 0 or self.horizon_ops < 1:
             raise ConfigError("fault horizon must be positive")
 
     @property

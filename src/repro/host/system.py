@@ -17,7 +17,6 @@ from repro.array.array import DiskArray
 from repro.array.striping import StripingLayout
 from repro.bus.scsi import ScsiBus
 from repro.cache.block import BlockCache
-from repro.cache.pinned import PinnedRegion
 from repro.cache.segment import SegmentCache
 from repro.config import (
     CacheOrganization,
@@ -137,7 +136,7 @@ class System:
                 readahead=readahead,
                 bus=self.bus,
                 block_size=config.block_size,
-                pinned=PinnedRegion(config.hdc_blocks),
+                hdc_blocks=config.hdc_blocks,
                 anticipatory_wait_ms=config.anticipatory_wait_ms,
                 tracer=self.tracer,
             )

@@ -78,7 +78,4 @@ class IOScheduler(ABC):
 
     @abstractmethod
     def __len__(self) -> int:
-        """Number of pending requests."""
-
-    def __bool__(self) -> bool:
-        return len(self) > 0
+        """Number of pending requests (truthiness follows it)."""

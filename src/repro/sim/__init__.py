@@ -2,15 +2,14 @@
 
 This subpackage provides the minimal machinery every other component is
 built on: an event heap with a monotonically advancing clock
-(:class:`~repro.sim.engine.Simulator`), FIFO resources for modelling
-contended components such as the SCSI bus
-(:class:`~repro.sim.resources.Resource`), and deterministic named random
-streams (:class:`~repro.sim.rng.RandomStreams`).
+(:class:`~repro.sim.engine.Simulator`) and deterministic named random
+streams (:class:`~repro.sim.rng.RandomStreams`). Contended components
+queue on their own (the SCSI bus keeps its FIFO in
+:class:`~repro.bus.scsi.ScsiBus`).
 """
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.engine import Simulator
-from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 
-__all__ = ["Event", "EventQueue", "Simulator", "Resource", "RandomStreams"]
+__all__ = ["Event", "EventQueue", "Simulator", "RandomStreams"]

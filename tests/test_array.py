@@ -81,8 +81,8 @@ def test_pin_logical_blocks_routes_to_home_disks(small_config):
     # one block on each disk
     count = system.array.pin_logical_blocks([0, unit])
     assert count == 2
-    assert system.controllers[0].pinned.is_pinned(0)
-    assert system.controllers[1].pinned.is_pinned(0)
+    assert 0 in system.controllers[0].pinned
+    assert 0 in system.controllers[1].pinned
 
 
 def test_flush_all_hdc_completes(small_config):

@@ -135,7 +135,7 @@ def test_contains_consistent_with_missing(blocks):
     cache = BlockCache(8)
     cache.fill(blocks)
     for b in set(blocks):
-        assert cache.contains(b) == (b not in cache.peek([b]))
+        assert cache.contains(b) == (b not in cache.missing([b]))
 
 
 # -- regression: an oversized fill must not evict its own head ---------

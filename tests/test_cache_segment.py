@@ -41,8 +41,8 @@ def test_whole_segment_replacement(cache):
     assert cache.segments_in_use == 3
     cache.fill([300, 301], stream_hint=9)
     # Segment of stream 0 (LRU) is fully gone.
-    assert cache.peek([0, 1]) == [0, 1]
-    assert cache.peek([300, 301]) == []
+    assert not cache.contains(0) and not cache.contains(1)
+    assert cache.contains(300) and cache.contains(301)
     assert cache.stats.evictions == 1
 
 

@@ -10,10 +10,13 @@ from repro.config import (
     DiskParams,
     ReadAheadKind,
     SeekParams,
+    SimConfig,
+    SsdParams,
     make_config,
     ultrastar_36z15_config,
 )
 from repro.errors import ConfigError
+from repro.faults.profile import FaultProfile, RetryPolicy
 from repro.units import KB, MB
 
 
@@ -118,6 +121,39 @@ class TestValidation:
     def test_bus_bandwidth_positive(self):
         with pytest.raises(ConfigError):
             BusParams(bandwidth_mb_s=0).validate()
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (DiskParams, "rpm"),
+            (DiskParams, "transfer_rate_mb_s"),
+            (DiskParams, "command_overhead_ms"),
+            (SeekParams, "alpha"),
+            (SeekParams, "beta"),
+            (SeekParams, "gamma"),
+            (SeekParams, "delta"),
+            (SsdParams, "read_latency_ms"),
+            (SsdParams, "write_latency_ms"),
+            (SsdParams, "transfer_rate_mb_s"),
+            (SsdParams, "command_overhead_ms"),
+            (BusParams, "bandwidth_mb_s"),
+            (BusParams, "per_command_overhead_ms"),
+            (SimConfig, "anticipatory_wait_ms"),
+            (RetryPolicy, "backoff_base_ms"),
+            (RetryPolicy, "backoff_cap_ms"),
+            (RetryPolicy, "command_timeout_ms"),
+            (FaultProfile, "slow_factor"),
+            (FaultProfile, "mtbf_ms"),
+            (FaultProfile, "repair_ms"),
+            (FaultProfile, "horizon_ms"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    def test_nan_fails_every_float_bound(self, cls, field):
+        """NaN compares false both ways, so a ``x < 0`` guard lets it
+        through (a NaN bus overhead used to replay to ``io_time = nan``)."""
+        with pytest.raises(ConfigError):
+            cls(**{field: float("nan")}).validate()
 
     def test_disk_geometry_plausibility(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bus.scsi import ScsiBus
 from repro.cache.block import BlockCache
-from repro.cache.pinned import PinnedRegion
 from repro.config import BusParams, DiskParams
 from repro.controller.commands import DiskCommand
 from repro.controller.controller import DiskController, contiguous_runs
@@ -37,7 +36,7 @@ def make_controller(
         readahead=readahead or BlindReadAhead(8),
         bus=bus,
         block_size=4 * KB,
-        pinned=PinnedRegion(hdc_blocks),
+        hdc_blocks=hdc_blocks,
     )
     return sim, controller
 
@@ -138,13 +137,26 @@ class TestWritePath:
         assert controller.stats.media_blocks_written == 2
         assert controller.stats.readahead_blocks == 0
 
+    def test_write_marks_cached_block_consumed(self):
+        """A host write recency-marks its cached, unpinned blocks as
+        consumed, so under MRU the written block is the next victim."""
+        sim, controller = make_controller(readahead=BlindReadAhead(8), cache_blocks=8)
+        submit_and_run(sim, controller, DiskCommand(0, 100, 1))  # caches 100..107
+        cache = controller.cache
+        assert cache.accessed_blocks == [100]
+        submit_and_run(sim, controller, DiskCommand(0, 104, 1, is_write=True))
+        assert cache.accessed_blocks == [100, 104]
+        cache.fill([300])  # the pool is full: one block must go
+        assert not cache.contains(104)
+        assert cache.contains(100)
+
     def test_write_to_pinned_block_absorbed(self):
         sim, controller = make_controller(hdc_blocks=8)
         controller.pin_blocks([50, 51])
         submit_and_run(sim, controller, DiskCommand(0, 50, 2, is_write=True))
         assert controller.stats.media_writes == 0
         assert controller.stats.hdc_write_absorbed == 2
-        assert controller.pinned.dirty_count() == 2
+        assert sum(controller.pinned.values()) == 2
 
     def test_mixed_write_splits_around_pinned(self):
         sim, controller = make_controller(hdc_blocks=8)
@@ -153,7 +165,7 @@ class TestWritePath:
         # blocks 50 and 52 hit media as two separate runs
         assert controller.stats.media_writes == 2
         assert controller.stats.media_blocks_written == 2
-        assert controller.pinned.dirty_count() == 1
+        assert sum(controller.pinned.values()) == 1
 
 
 class TestHdcCommands:
@@ -171,7 +183,7 @@ class TestHdcCommands:
         assert controller.cache.contains(100)
         controller.pin_blocks([100])
         assert not controller.cache.contains(100)
-        assert controller.pinned.is_pinned(100)
+        assert 100 in controller.pinned
 
     def test_timed_pin_load_costs_media_reads(self):
         sim, controller = make_controller(hdc_blocks=8)
@@ -194,7 +206,7 @@ class TestHdcCommands:
         assert done == [1]
         assert controller.stats.media_writes == 2  # two contiguous runs
         assert controller.stats.flush_blocks_written == 3
-        assert controller.pinned.dirty_count() == 0
+        assert sum(controller.pinned.values()) == 0
 
     def test_flush_with_nothing_dirty_completes_immediately(self):
         sim, controller = make_controller(hdc_blocks=8)
@@ -207,7 +219,7 @@ class TestHdcCommands:
         sim, controller = make_controller(hdc_blocks=8)
         controller.pin_blocks([5])
         controller.unpin_blocks([5])
-        assert not controller.pinned.is_pinned(5)
+        assert 5 not in controller.pinned
 
 
 class TestCompletionDiscipline:

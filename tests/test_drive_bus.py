@@ -107,3 +107,47 @@ class TestBus:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert bus.utilization(sim.now) == pytest.approx(0.5)
+
+    def test_idle_bus_transfer_is_one_event(self):
+        sim = Simulator()
+        bus = ScsiBus(sim, BusParams(bandwidth_mb_s=160, per_command_overhead_ms=0.0))
+        bus.transfer(160_000, lambda: None)
+        sim.run()
+        assert sim.events_fired == 1
+
+    def test_back_to_back_transfers_are_one_event_each(self):
+        sim = Simulator()
+        bus = ScsiBus(sim, BusParams(bandwidth_mb_s=160, per_command_overhead_ms=0.0))
+        done = []
+        bus.transfer(1_600_000, lambda: done.append(sim.now))  # 10 ms
+        bus.transfer(800_000, lambda: done.append(sim.now))  # 5 ms
+        sim.run()
+        assert sim.events_fired == 2
+        assert done == [10.0, 10.0 + 5.0]
+
+    def test_waiters_are_served_fifo(self):
+        sim = Simulator()
+        bus = ScsiBus(sim, BusParams())
+        order = []
+        for name in "abc":
+            bus.transfer(4096, order.append, name)
+        sim.run()
+        assert order == ["a", "b", "c"]
+
+    def test_back_to_back_busy_time(self):
+        sim = Simulator()
+        bus = ScsiBus(sim, BusParams(bandwidth_mb_s=160, per_command_overhead_ms=0.0))
+        bus.transfer(1_600_000, lambda: None)
+        bus.transfer(1_600_000, lambda: None)
+        sim.run()
+        assert bus.busy_time == pytest.approx(20.0)
+        assert bus.utilization(sim.now) == pytest.approx(1.0)
+
+    def test_utilization_fraction_of_elapsed(self):
+        sim = Simulator()
+        bus = ScsiBus(sim, BusParams(bandwidth_mb_s=160, per_command_overhead_ms=0.0))
+        bus.transfer(1_600_000, lambda: None)  # 10 ms
+        sim.run()
+        sim.schedule(30.0, lambda: None)  # then idle for 30 ms
+        sim.run()
+        assert bus.utilization(sim.now) == pytest.approx(0.25)

@@ -132,7 +132,7 @@ class TestVictimCache:
         manager = VictimCacheManager(system.array, hdc_blocks_per_disk=4)
         manager.on_record_complete(DiskAccess([(0, 2)]))
         assert manager.pins == 2
-        assert system.controllers[0].pinned.is_pinned(0)
+        assert 0 in system.controllers[0].pinned
 
     def test_writes_not_victim_cached(self):
         system = self.make_system()
@@ -146,8 +146,8 @@ class TestVictimCache:
         for lb in (0, 1, 2):  # all on disk 0 (unit = 4 blocks)
             manager.on_record_complete(DiskAccess([(lb, 1)]))
         assert manager.unpins == 1
-        assert not system.controllers[0].pinned.is_pinned(0)
-        assert system.controllers[0].pinned.is_pinned(2)
+        assert 0 not in system.controllers[0].pinned
+        assert 2 in system.controllers[0].pinned
 
     def test_repinning_refreshes_lru(self):
         system = self.make_system()
@@ -156,8 +156,8 @@ class TestVictimCache:
         manager.on_record_complete(DiskAccess([(1, 1)]))
         manager.on_record_complete(DiskAccess([(0, 1)]))  # refresh 0
         manager.on_record_complete(DiskAccess([(2, 1)]))  # evicts 1
-        assert system.controllers[0].pinned.is_pinned(0)
-        assert not system.controllers[0].pinned.is_pinned(1)
+        assert 0 in system.controllers[0].pinned
+        assert 1 not in system.controllers[0].pinned
 
     def test_zero_capacity_is_noop(self):
         system = self.make_system()

@@ -94,7 +94,7 @@ class TestSystem:
     def test_hdc_region_sized_from_config(self, small_config):
         config = small_config.with_(hdc_bytes=32 * KB)
         system = System(config)
-        assert system.controllers[0].pinned.capacity_blocks == 8
+        assert system.controllers[0].hdc_blocks == 8
 
     def test_identical_seeds_identical_rotation_streams(self, small_config):
         a = System(small_config)

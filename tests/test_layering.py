@@ -120,7 +120,7 @@ def test_checker_flags_perfkit_internals_import(tmp_path, monkeypatch):
     perfkit.mkdir(parents=True)
     (perfkit / "sneaky.py").write_text(
         "from repro.controller.stats import ControllerStats\n"
-        "from repro.cache.core import CacheStats\n"
+        "from repro.cache.base import CacheStats\n"
         "from repro.obs.timeline import merge_time_in_state\n"  # allowed
         "from repro.metrics.report import format_table\n"  # allowed
         "from repro.experiments.runner import TechniqueRunner\n"  # allowed
@@ -130,7 +130,7 @@ def test_checker_flags_perfkit_internals_import(tmp_path, monkeypatch):
     checker.check_perfkit_independence(errors)
     assert len(errors) == 2
     assert "repro.controller.stats" in errors[0]
-    assert "repro.cache.core" in errors[1]
+    assert "repro.cache.base" in errors[1]
 
 
 def test_checker_flags_private_cross_import(tmp_path, monkeypatch):

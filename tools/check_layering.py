@@ -5,9 +5,9 @@ Enforced rules (AST-level, no imports executed):
 
 1. **No private cross-imports** — no module anywhere under ``src/``
    imports an underscore-prefixed name from another module.
-2. **Cache policies are siblings** — ``cache/block.py``,
-   ``cache/segment.py`` and ``cache/pinned.py`` never import each
-   other (they share ``cache/base.py`` and ``cache/core.py``).
+2. **Cache policies are siblings** — ``cache/block.py`` and
+   ``cache/segment.py`` never import each other (they share
+   ``cache/base.py``).
 3. **Read-ahead is controller-free** — nothing in ``repro.readahead``
    imports ``repro.controller``.
 4. **Ingest is controller-free** — nothing in ``repro.ingest`` imports
@@ -54,7 +54,7 @@ from typing import Iterator, List, Tuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-CACHE_POLICIES = {"block", "segment", "pinned"}
+CACHE_POLICIES = {"block", "segment"}
 
 
 def iter_imports(tree: ast.AST) -> Iterator[Tuple[str, List[str]]]:
@@ -94,7 +94,7 @@ def check_cache_policy_isolation(errors: List[str]) -> None:
             if target in CACHE_POLICIES and target != stem:
                 errors.append(
                     f"{path}: cache policy '{stem}' imports sibling "
-                    f"policy '{target}' (share via base/core instead)"
+                    f"policy '{target}' (share via base instead)"
                 )
 
 
